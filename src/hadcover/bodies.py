@@ -23,10 +23,6 @@ LP = "lp"
 
 FAMILIES = (SIMPLEX, CROSSPOLYTOPE, QUARTER_LP, LP)
 
-# Exact coordinates are plain Fractions; float points are plain tuples.
-RationalPoint = tuple
-FloatPoint = tuple
-
 Scale = Union[int, Fraction, float]
 
 
@@ -37,7 +33,7 @@ class BodySpec:
     scale=1 is the normalized body (defining sum bounded by n).  The
     scale must be exact (int or Fraction) for the polytopal families;
     a float scale is accepted only for p > 1, where membership is
-    decided numerically anyway.
+    decided numerically anyway.  p must be finite and >= 1.
     """
 
     family: str
@@ -50,6 +46,8 @@ class BodySpec:
             raise ValueError(f"unknown body family: {self.family!r}")
         if self.n < 1:
             raise ValueError("dimension n must be >= 1")
+        if not math.isfinite(self.p):
+            raise ValueError("p must be finite")
         if self.p < 1:
             raise ValueError("p must be >= 1")
         if self.family in (SIMPLEX, CROSSPOLYTOPE) and self.p != 1:
@@ -110,9 +108,12 @@ def contains_float(body: BodySpec, point: Sequence[float], tol: float = 1e-9) ->
 
     Accepts the point when sum |x_i|^p <= scale^p * n * (1 + tol), and
     for the quarter ball additionally requires every x_i >= -tol.
+    tol must be finite and positive.
     """
     if body.family not in (QUARTER_LP, LP):
         raise ValueError("float membership is for the l_p families")
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
     if tol <= 0:
         raise ValueError("tol must be positive")
     _check_dim(body, point)

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
-from fractions import Fraction
 
 from . import asymptotics, combinatorics, covering, lattice_sets
 from .bodies import FAMILIES
@@ -22,23 +20,26 @@ FORMATS = ("plain", "json", "csv")
 
 
 def _scalar(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
-def _emit_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _render(fmt: str, record: dict, rows=None, lines=None) -> None:
+    """Print one command's result in the requested format.
 
-
-def _emit_csv(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+    json prints the record; csv prints the header-first rows, or the
+    plain lines when the command has no table; plain prints the lines,
+    by default one ``key = value`` line per record item.  Lines may be a
+    generator, so long listings stream.
+    """
+    if fmt == "json":
+        print(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    elif fmt == "csv" and rows is not None:
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+    else:
+        if lines is None:
+            lines = (f"{key} = {_scalar(value)}" for key, value in record.items())
+        for line in lines:
+            print(line)
 
 
 def _cmd_count(args) -> int:
@@ -46,23 +47,19 @@ def _cmd_count(args) -> int:
         value = combinatorics.m1_count(args.n, args.k)
     else:
         value = combinatorics.m2_count_closed(args.n, args.k)
-    if args.format == "json":
-        print(_emit_json({"set": args.set, "n": args.n, "k": args.k, "count": str(value)}))
-    elif args.format == "csv":
-        print(_emit_csv(["set", "n", "k", "count"], [[args.set, args.n, args.k, value]]))
-    else:
-        print(value)
+    record = {"set": args.set, "n": args.n, "k": args.k, "count": str(value)}
+    _render(args.format, record, rows=[list(record), list(record.values())],
+            lines=[value])
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     spec = lattice_sets.LatticeSetSpec(args.set, args.n, args.k)
+    points = lattice_sets.enumerate_points(spec)
+    record = {"set": args.set, "n": args.n, "k": args.k}
     if args.format == "json":
-        points = [list(z) for z in lattice_sets.enumerate_points(spec)]
-        print(_emit_json({"set": args.set, "n": args.n, "k": args.k, "points": points}))
-    else:
-        for z in lattice_sets.enumerate_points(spec):
-            print(",".join(str(c) for c in z))
+        record["points"] = [list(z) for z in points]
+    _render(args.format, record, lines=(",".join(str(c) for c in z) for z in points))
     return 0
 
 
@@ -77,42 +74,24 @@ def _cmd_verify_cover(args) -> int:
             args.body, args.n, args.p, args.k, args.samples, args.seed, args.tol,
             corrupt_witness=args.inject_corrupt_witness,
         )
-    if args.format == "json":
-        print(_emit_json(report.to_dict()))
-    else:
-        d = report.to_dict()
-        for key in ("kind", "n", "k", "p", "samples", "seed", "witness_failures",
-                    "translate_failures", "translates_checked", "success_rate"):
-            print(f"{key} = {_scalar(d[key])}")
-        print(f"shell_levels = {d['shell_levels']}")
-        print("ok" if report.ok else "FAILED")
+    d = report.to_dict()
+    lines = [f"{key} = {_scalar(value)}" for key, value in d.items() if key != "ok"]
+    _render(args.format, d, lines=lines + ["ok" if report.ok else "FAILED"])
     return 0 if report.ok else 1
 
 
 def _cmd_gamma_bound(args) -> int:
     bound = covering.gamma_upper_bound(args.body, args.n, args.p, args.k)
-    m, rho = str(bound.m), _scalar(bound.rho)
-    if args.format == "json":
-        print(_emit_json({"m": m, "rho": rho}))
-    elif args.format == "csv":
-        print(_emit_csv(["m", "rho"], [[m, rho]]))
-    else:
-        print(f"m = {m}")
-        print(f"rho = {rho}")
+    record = {"m": str(bound.m), "rho": _scalar(bound.rho)}
+    _render(args.format, record, rows=[list(record), list(record.values())])
     return 0
 
 
 def _cmd_tnpk(args) -> int:
     seq = covering.t_sequence(args.n, args.p, args.k)
-    if args.format == "json":
-        payload = {"n": args.n, "p": args.p, "t": [_scalar(t) for t in seq.values]}
-        print(_emit_json(payload))
-    elif args.format == "csv":
-        rows = [[j, _scalar(t)] for j, t in enumerate(seq.values)]
-        print(_emit_csv(["k", "t"], rows))
-    else:
-        for t in seq.values:
-            print(_scalar(t))
+    t = [_scalar(value) for value in seq.values]
+    _render(args.format, {"n": args.n, "p": args.p, "t": t},
+            rows=[["k", "t"], *enumerate(t)], lines=t)
     return 0
 
 
@@ -131,45 +110,32 @@ def _cmd_constants(args) -> int:
         "c4_alt_variant_max": peak,
         "c4_alt_variant_has_root": False,
     }
-    if args.format == "json":
-        print(_emit_json(report))
-    elif args.format == "csv":
-        keys = sorted(report)
-        print(_emit_csv(keys, [[_scalar(report[k]) for k in keys]]))
-    else:
-        for key, value in report.items():
-            print(f"{key} = {_scalar(value)}")
+    keys = sorted(report)
+    _render(args.format, report, rows=[keys, [_scalar(report[k]) for k in keys]])
     return 0
 
 
 def _cmd_converge(args) -> int:
     n_list = [int(part) for part in args.n_list.split(",") if part]
     rows = asymptotics.convergence_table(args.body, n_list, args.p)
-    if args.format == "json":
-        payload = {
-            "family": args.body,
-            "p": args.p,
-            "rows": [
-                {"n": r.n, "k": r.k, "ratio": r.ratio, "bound": r.bound} for r in rows
-            ],
-        }
-        print(_emit_json(payload))
-    elif args.format == "csv":
-        table = [[r.n, r.k, repr(r.ratio), repr(r.bound)] for r in rows]
-        print(_emit_csv(["n", "k", "ratio", "bound"], table))
-    else:
-        for r in rows:
-            print(f"n={r.n} k={r.k} ratio={r.ratio!r} bound={r.bound!r}")
+    record = {
+        "family": args.body,
+        "p": args.p,
+        "rows": [{"n": r.n, "k": r.k, "ratio": r.ratio, "bound": r.bound} for r in rows],
+    }
+    _render(
+        args.format, record,
+        rows=[["n", "k", "ratio", "bound"]]
+        + [[r.n, r.k, repr(r.ratio), repr(r.bound)] for r in rows],
+        lines=[f"n={r.n} k={r.k} ratio={r.ratio!r} bound={r.bound!r}" for r in rows],
+    )
     return 0
 
 
 def _cmd_rz_bound(args) -> int:
     value = asymptotics.rogers_zong_bound(args.n, args.r, args.variant)
-    if args.format == "json":
-        print(_emit_json({"n": args.n, "r": args.r, "variant": args.variant,
-                          "bound": value}))
-    else:
-        print(repr(value))
+    record = {"n": args.n, "r": args.r, "variant": args.variant, "bound": value}
+    _render(args.format, record, lines=[repr(value)])
     return 0
 
 

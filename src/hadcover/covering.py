@@ -10,10 +10,11 @@ sequence t_{n,p,k}.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import bodies, combinatorics, lattice_sets
 from .bodies import BodySpec, CROSSPOLYTOPE, LP, QUARTER_LP, SIMPLEX
@@ -82,11 +83,11 @@ class CoveringReport:
             "witness_failures": self.witness_failures,
             "translate_failures": self.translate_failures,
             "translates_checked": self.translates_checked,
+            "success_rate": (self.samples - self.witness_failures) / self.samples,
             "shell_levels": {
                 str(level): self.shell_levels[level]
                 for level in sorted(self.shell_levels)
             },
-            "success_rate": (self.samples - self.witness_failures) / self.samples,
             "ok": self.ok,
         }
 
@@ -160,39 +161,82 @@ def verify_covering_exact(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if family == SIMPLEX:
-        set_kind, base, decompose = lattice_sets.M1, bodies.simplex(n), decompose_simplex
-    elif family == CROSSPOLYTOPE:
-        set_kind, base = lattice_sets.M2, bodies.cross_polytope(n)
-        decompose = decompose_crosspolytope
-    else:
+    if family not in (SIMPLEX, CROSSPOLYTOPE):
         raise ValueError("exact verification covers simplex and crosspolytope")
+    base = BodySpec(family, n)
+    set_kind = lattice_sets.M1 if family == SIMPLEX else lattice_sets.M2
     spec = LatticeSetSpec(set_kind, n, k)
     scaled = base.rescaled(Fraction(n + k, n))
+    return _verify(spec, base, scaled, samples, seed, corrupt_witness)
+
+
+def _verify(
+    spec: LatticeSetSpec, base: BodySpec, scaled: BodySpec, samples: int, seed: int,
+    corrupt_witness: bool, tol: Optional[float] = None,
+) -> CoveringReport:
+    """The verification loop behind both public verifiers.
+
+    Every witness of a sample y is re-checked from scratch: z in the
+    translation set and y - z in the base body (within tol for curved
+    bodies).  Polytopal bodies then get the exhaustive translate sweep.
+    Module functions are looked up at call time, so wrappers see them.
+    """
+    n, k = spec.n, spec.k
     report = CoveringReport(
-        kind=f"{set_kind}-{family}", n=n, k=k, p=1.0, samples=samples, seed=seed
+        kind=f"{spec.kind}-{base.family}", n=n, k=k, p=base.p, samples=samples, seed=seed
     )
+    if base.family == SIMPLEX:
+        decompose, inside = decompose_simplex, bodies.contains_exact
+    elif base.family == CROSSPOLYTOPE:
+        decompose, inside = decompose_crosspolytope, bodies.contains_exact
+    else:
+        decompose = functools.partial(_peel, base, tol=tol)
+        inside = functools.partial(bodies.contains_float, tol=tol)
 
     for y in bodies.sample_boundary(scaled, samples, seed):
         witness = decompose(n, k, y)
         z = witness.z
         if corrupt_witness:
             z = (z[0] + k + 1,) + z[1:]
-        residual = tuple(c - w for c, w in zip(y, z))
-        if not (lattice_sets.member(spec, z) and bodies.contains_exact(base, residual)):
+        residual = [c - w for c, w in zip(y, z)]
+        if not (lattice_sets.member(spec, z) and inside(base, residual)):
             report.witness_failures += 1
         level = witness.shell_level
         report.shell_levels[level] = report.shell_levels.get(level, 0) + 1
 
-    for z in lattice_sets.enumerate_points(spec):
-        report.translates_checked += 1
-        for v in bodies.vertices(base):
-            shifted = tuple(c + w for c, w in zip(v, z))
-            if not bodies.contains_exact(scaled, shifted):
-                report.translate_failures += 1
+    if base.is_polytopal:
+        base_vertices = bodies.vertices(base)
+        for z in lattice_sets.enumerate_points(spec):
+            report.translates_checked += 1
+            for v in base_vertices:
+                shifted = tuple(c + w for c, w in zip(v, z))
+                if not bodies.contains_exact(scaled, shifted):
+                    report.translate_failures += 1
 
     report.ok = report.witness_failures == 0 and report.translate_failures == 0
     return report
+
+
+def _peel(
+    base: BodySpec, n: int, k: int, y: Sequence[float], tol: float
+) -> WitnessDecomposition:
+    """Peel y into the curved base body with at most k unit moves.
+
+    Each move shifts the largest-magnitude coordinate one unit toward
+    zero.  Outside the body that coordinate exceeds 1 in magnitude, so
+    each subtraction is exact and the residual equals y - z bit for bit.
+    The shell level is the number of moves.
+    """
+    x = list(y)
+    z = [0] * n
+    moves = 0
+    while moves < k and not bodies.contains_float(base, x, tol):
+        i = max(range(n), key=lambda j: abs(x[j]))
+        step = 1 if x[i] >= 0 else -1
+        x[i] -= step
+        z[i] += step
+        moves += 1
+    return WitnessDecomposition(tuple(z), tuple(x), moves)
 
 
 def t_sequence(n: int, p: float, k_max: int) -> TSequence:
@@ -247,10 +291,11 @@ def verify_covering_lp(
 
     Each sampled point of ((n+k)/n)^(1/p) * body is pushed into the
     normalized body by repeatedly moving its largest-magnitude
-    coordinate one unit toward zero; the accumulated lattice vector must
-    land in the matching translation set.  Only this inclusion is
-    claimed for p > 1, so translates are not required to stay inside the
-    scaled body.  p = 1 inputs route to the exact verifier.
+    coordinate one unit toward zero; the accumulated lattice vector z
+    must land in the matching translation set and y - z in the body.
+    Only this inclusion is claimed for p > 1, so translates are not
+    required to stay inside the scaled body.  p = 1 inputs route to the
+    exact verifier.
     """
     if family not in (QUARTER_LP, LP):
         raise ValueError("l_p verification covers qlp and lp")
@@ -263,34 +308,11 @@ def verify_covering_lp(
         )
     if samples < 1:
         raise ValueError("samples must be >= 1")
-
     set_kind = lattice_sets.M1 if family == QUARTER_LP else lattice_sets.M2
     spec = LatticeSetSpec(set_kind, n, k)
     base = BodySpec(family, n, p, Fraction(1))
-    scaled = BodySpec(family, n, p, ((n + k) / n) ** (1.0 / p))
-    report = CoveringReport(
-        kind=f"{set_kind}-{family}", n=n, k=k, p=p, samples=samples, seed=seed
-    )
-
-    for y in bodies.sample_boundary(scaled, samples, seed):
-        x = list(y)
-        z = [0] * n
-        moves = 0
-        while moves < k and not bodies.contains_float(base, x, tol):
-            i = max(range(n), key=lambda j: abs(x[j]))
-            step = 1 if x[i] >= 0 else -1
-            x[i] -= step
-            z[i] += step
-            moves += 1
-        if corrupt_witness:
-            z[0] += k + 1
-        ok = bodies.contains_float(base, x, tol) and lattice_sets.member(spec, z)
-        if not ok:
-            report.witness_failures += 1
-        report.shell_levels[moves] = report.shell_levels.get(moves, 0) + 1
-
-    report.ok = report.witness_failures == 0
-    return report
+    scaled = base.rescaled(((n + k) / n) ** (1.0 / p))
+    return _verify(spec, base, scaled, samples, seed, corrupt_witness, tol)
 
 
 def gamma_upper_bound(family: str, n: int, p: float, k: int) -> GammaBound:

@@ -60,6 +60,9 @@ def test_contains_float_rejects_nonfinite():
         contains_float(body, (math.nan, 0.0))
     with pytest.raises(ValueError):
         contains_float(body, (math.inf, 0.0))
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            contains_float(body, (0.0, 0.0), tol=tol)
 
 
 def test_dimension_mismatch_rejected():
@@ -177,8 +180,9 @@ def test_one_dimensional_samples():
 def test_body_spec_validation():
     with pytest.raises(ValueError):
         BodySpec("simplex", 0)
-    with pytest.raises(ValueError):
-        BodySpec("lp", 2, 0.5)
+    for p in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            BodySpec("lp", 2, p)
     with pytest.raises(ValueError):
         BodySpec("simplex", 2, 1.0, 1.5)
     with pytest.raises(ValueError):

@@ -138,9 +138,18 @@ def test_rz_bound_plain(capsys):
 
 
 def test_domain_errors_exit_2(capsys):
-    code, _, err = run_cli(capsys, "rz-bound", "--n", "2", "--r", "0.5")
-    assert code == 2
-    assert err.startswith("error:")
+    for argv in (
+        "rz-bound --n 2 --r 0.5",
+        "verify-cover --body lp --n 2 --k 1 --p nan --samples 5",
+        "verify-cover --body qlp --n 2 --k 1 --p inf --samples 5",
+        "verify-cover --body lp --n 2 --k 1 --p 2 --tol nan --samples 5",
+        "verify-cover --body qlp --n 2 --k 0 --p 2 --tol inf --samples 5",
+        "gamma-bound --body lp --n 2 --k 1 --p nan",
+    ):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_argparse_errors_exit_2(capsys):

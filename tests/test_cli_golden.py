@@ -1,0 +1,69 @@
+"""Every subcommand in every output format, pinned byte for byte.
+
+``cli_golden.json`` maps each argv (joined by spaces) to its exit code,
+stdout and stderr.  To record it again after an intended output change:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from hadcover.cli import main
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+COMMANDS = [
+    "count --set m1 --n 3 --k 2",
+    "count --set m2 --n 4 --k 3",
+    "enumerate --set m1 --n 2 --k 2",
+    "enumerate --set m2 --n 2 --k 1",
+    "verify-cover --body simplex --n 3 --k 2 --samples 40 --seed 7",
+    "verify-cover --body crosspolytope --n 3 --k 1 --samples 40 --seed 3",
+    "verify-cover --body qlp --n 3 --k 2 --p 2.5 --samples 60 --seed 11",
+    "verify-cover --body lp --n 3 --k 2 --p 2 --samples 60 --seed 5",
+    "verify-cover --body lp --n 2 --k 1 --p 1 --samples 30 --seed 6",
+    "verify-cover --body simplex --n 2 --k 1 --samples 20 --inject-corrupt-witness",
+    "gamma-bound --body simplex --n 3 --k 1",
+    "gamma-bound --body lp --n 4 --k 2 --p 3",
+    "tnpk --n 2 --p 1 --k 3",
+    "tnpk --n 3 --p 2.5 --k 4",
+    "constants",
+    "converge --body simplex --n-list 3,4,8",
+    "converge --body lp --n-list 5,9 --p 2",
+    "rz-bound --n 10 --r 0.5",
+    "rz-bound --n 12 --r 0.3 --variant intro",
+    "rz-bound --n 2 --r 0.5",
+    "tnpk --n 1 --p 2 --k 3",
+]
+FORMATS = ("plain", "json", "csv")
+ARGVS = [f"{command} --format {fmt}" for command in COMMANDS for fmt in FORMATS]
+
+
+def run(argv: str) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv.split())
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_argv(golden):
+    assert sorted(golden) == sorted(ARGVS)
+
+
+@pytest.mark.parametrize("argv", ARGVS)
+def test_cli_output_matches_golden(golden, argv):
+    assert run(argv) == golden[argv]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({argv: run(argv) for argv in ARGVS}, indent=1) + "\n")

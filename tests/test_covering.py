@@ -177,7 +177,11 @@ def test_verify_covering_lp_corrupt_witness_fails():
     report = verify_covering_lp("lp", 2, 2.0, 1, samples=60, seed=5,
                                 corrupt_witness=True)
     assert not report.ok
-    assert report.witness_failures > 0
+    assert report.witness_failures == 60
+    report = verify_covering_lp("lp", 3, 3.0, 2, samples=20, seed=42,
+                                corrupt_witness=True)
+    assert not report.ok
+    assert report.witness_failures == 20
 
 
 def test_verify_covering_lp_reduces_to_exact_at_p1():
