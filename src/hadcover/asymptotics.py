@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .bodies import CROSSPOLYTOPE, FAMILIES, LP, QUARTER_LP, SIMPLEX
+from .bodies import BodySpec
 from .combinatorics import binomial, m2_count_closed
 
 DEFAULT_TOL = 1e-12
@@ -197,13 +197,8 @@ def convergence_table(
     family: str, n_list: Sequence[int], p: float = 1.0
 ) -> list[ConvergenceRow]:
     """Exact threshold k and finite-n bound (n/(n+k))^(1/p) for each n."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown body family: {family!r}")
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    threshold = (
-        k_of_n_simplex if family in (SIMPLEX, QUARTER_LP) else k_max_crosspolytope
-    )
+    body = BodySpec(family, 1, p)
+    threshold = k_of_n_simplex if body.nonnegative else k_max_crosspolytope
     rows = []
     for n in n_list:
         k = threshold(n)

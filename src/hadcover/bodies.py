@@ -112,10 +112,7 @@ def contains_float(body: BodySpec, point: Sequence[float], tol: float = 1e-9) ->
     """
     if body.family not in (QUARTER_LP, LP):
         raise ValueError("float membership is for the l_p families")
-    if not math.isfinite(tol):
-        raise ValueError("tol must be finite")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     _check_dim(body, point)
     coords = [float(c) for c in point]
     if any(not math.isfinite(c) for c in coords):
@@ -124,6 +121,14 @@ def contains_float(body: BodySpec, point: Sequence[float], tol: float = 1e-9) ->
         return False
     limit = float(body.scale) ** body.p * body.n * (1.0 + tol)
     return sum(abs(c) ** body.p for c in coords) <= limit
+
+
+def check_tol(tol: float) -> None:
+    """Reject a float membership tolerance that is not finite and positive."""
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
 
 
 def vertices(body: BodySpec) -> list[tuple]:
@@ -137,16 +142,10 @@ def vertices(body: BodySpec) -> list[tuple]:
     n = body.n
     r = Fraction(body.scale) * n
     zero = Fraction(0)
-    if body.nonnegative:
-        out = [tuple([zero] * n)]
-        for i in range(n):
-            v = [zero] * n
-            v[i] = r
-            out.append(tuple(v))
-        return out
-    out = []
+    out = [tuple([zero] * n)] if body.nonnegative else []
+    signs = (1,) if body.nonnegative else (1, -1)
     for i in range(n):
-        for sign in (1, -1):
+        for sign in signs:
             v = [zero] * n
             v[i] = sign * r
             out.append(tuple(v))
@@ -175,7 +174,7 @@ def sample_boundary(body: BodySpec, count: int, seed: int) -> list[tuple]:
     return [_sample_float(body, rng) for _ in range(count)]
 
 
-def _shell_floor(total: Fraction, n: int) -> Fraction:
+def _shell_floor(total: Scale, n: int) -> Scale:
     # Outer slab: width 1 once the body is large enough, else top 1/n.
     return max(total - 1, total * (n - 1) / n)
 
@@ -205,7 +204,7 @@ def _sample_float(body: BodySpec, rng: random.Random) -> tuple:
     p = body.p
     bound = float(body.scale) ** p * n  # bound on the p-th power sum
     if rng.random() < _SHELL_BIAS:
-        lo = max(bound - 1.0, bound * (n - 1) / n)
+        lo = _shell_floor(bound, n)
         target = lo + (bound - lo) * rng.random()
     else:
         target = bound * rng.random()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from . import bodies, combinatorics, lattice_sets
+from . import bodies, lattice_sets
 from .bodies import BodySpec, CROSSPOLYTOPE, LP, QUARTER_LP, SIMPLEX
 from .lattice_sets import LatticeSetSpec
 
@@ -93,54 +93,46 @@ class CoveringReport:
 
 
 def decompose_simplex(n: int, k: int, y: Sequence) -> WitnessDecomposition:
-    """Split y in ((n+k)/n) * simplex as z + residual with z in M1(n, k).
-
-    The required budget is m = max(0, ceil(sum y) - n); coordinate
-    floors always sum to at least m, so a greedy scan assigning
-    z_i = min(floor(y_i), remaining budget) terminates with sum z = m
-    and leaves the residual inside the normalized simplex.
-    """
-    coords = [Fraction(c) for c in y]
-    scaled = bodies.simplex(n, Fraction(n + k, n))
-    if not bodies.contains_exact(scaled, coords):
-        raise ValueError("point lies outside the scaled simplex")
-    z, level = _greedy_budget(coords, n, k)
-    residual = tuple(c - w for c, w in zip(coords, z))
-    return WitnessDecomposition(z, residual, level)
+    """Split y in ((n+k)/n) * simplex as z + residual with z in M1(n, k)."""
+    return _decompose(bodies.simplex(n, Fraction(n + k, n)), y)
 
 
 def decompose_crosspolytope(n: int, k: int, y: Sequence) -> WitnessDecomposition:
-    """Split y in ((n+k)/n) * cross-polytope as z + residual, z in M2(n, k).
+    """Split y in ((n+k)/n) * cross-polytope as z + residual, z in M2(n, k)."""
+    return _decompose(bodies.cross_polytope(n, Fraction(n + k, n)), y)
 
-    Reduces to the simplex greedy on |y|, then restores the original
-    signs (zero coordinates take +1).
+
+def _decompose(scaled: BodySpec, y: Sequence) -> WitnessDecomposition:
+    """The exact witness for both polytopal families, greedy on |y|.
+
+    The required budget is m = max(0, ceil(sum |y_i|) - n); coordinate
+    floors of |y| always sum to at least m, so a greedy scan assigning
+    |z_i| = min(floor |y_i|, remaining budget) ends with sum |z_i| = m
+    and leaves the residual inside the normalized body.  Each z_i takes
+    the sign of y_i.
     """
     coords = [Fraction(c) for c in y]
-    scaled = bodies.cross_polytope(n, Fraction(n + k, n))
     if not bodies.contains_exact(scaled, coords):
-        raise ValueError("point lies outside the scaled cross-polytope")
-    signs = [1 if c >= 0 else -1 for c in coords]
-    z_abs, level = _greedy_budget([abs(c) for c in coords], n, k)
-    z = tuple(s * w for s, w in zip(signs, z_abs))
-    residual = tuple(c - w for c, w in zip(coords, z))
-    return WitnessDecomposition(z, residual, level)
-
-
-def _greedy_budget(coords: list, n: int, k: int) -> tuple[tuple[int, ...], int]:
-    total = sum(coords)
-    needed = max(0, math.ceil(total) - n)
-    floors = [math.floor(c) for c in coords]
-    if sum(floors) < needed:
+        raise ValueError(f"point lies outside the scaled {scaled.family}")
+    needed = max(0, math.ceil(sum(abs(c) for c in coords)) - scaled.n)
+    z = []
+    remaining = needed
+    for c in coords:
+        take = min(math.floor(abs(c)), remaining)
+        z.append(take if c >= 0 else -take)
+        remaining -= take
+    if remaining:
         # The shell argument guarantees enough integer mass; reaching
         # here means the decomposition itself is broken.
         raise AssertionError("floor sum below required budget")
-    z = []
-    remaining = needed
-    for f in floors:
-        take = min(f, remaining)
-        z.append(take)
-        remaining -= take
-    return tuple(z), needed
+    residual = tuple(c - w for c, w in zip(coords, z))
+    return WitnessDecomposition(tuple(z), residual, needed)
+
+
+def _translation_set(body: BodySpec, k: int) -> LatticeSetSpec:
+    """M1 covers the nonnegative bodies, M2 the centrally symmetric ones."""
+    kind = lattice_sets.M1 if body.nonnegative else lattice_sets.M2
+    return LatticeSetSpec(kind, body.n, k)
 
 
 def verify_covering_exact(
@@ -159,36 +151,35 @@ def verify_covering_exact(
     corrupt_witness hook deliberately breaks each witness so failure
     handling can be exercised end to end.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     if family not in (SIMPLEX, CROSSPOLYTOPE):
         raise ValueError("exact verification covers simplex and crosspolytope")
     base = BodySpec(family, n)
-    set_kind = lattice_sets.M1 if family == SIMPLEX else lattice_sets.M2
-    spec = LatticeSetSpec(set_kind, n, k)
-    scaled = base.rescaled(Fraction(n + k, n))
-    return _verify(spec, base, scaled, samples, seed, corrupt_witness)
+    return _verify(base, k, Fraction(n + k, n), samples, seed, corrupt_witness)
 
 
 def _verify(
-    spec: LatticeSetSpec, base: BodySpec, scaled: BodySpec, samples: int, seed: int,
+    base: BodySpec, k: int, scale: bodies.Scale, samples: int, seed: int,
     corrupt_witness: bool, tol: Optional[float] = None,
 ) -> CoveringReport:
     """The verification loop behind both public verifiers.
 
-    Every witness of a sample y is re-checked from scratch: z in the
-    translation set and y - z in the base body (within tol for curved
-    bodies).  Polytopal bodies then get the exhaustive translate sweep.
-    Module functions are looked up at call time, so wrappers see them.
+    Samples come from base inflated by scale.  Every witness of a sample
+    y is re-checked from scratch: z in the translation set and y - z in
+    the base body (within tol for curved bodies).  Polytopal bodies then
+    get the exhaustive translate sweep.  Module functions are looked up
+    at call time, so wrappers see them.
     """
-    n, k = spec.n, spec.k
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    spec = _translation_set(base, k)
+    scaled = base.rescaled(scale)
+    n = base.n
     report = CoveringReport(
         kind=f"{spec.kind}-{base.family}", n=n, k=k, p=base.p, samples=samples, seed=seed
     )
-    if base.family == SIMPLEX:
-        decompose, inside = decompose_simplex, bodies.contains_exact
-    elif base.family == CROSSPOLYTOPE:
-        decompose, inside = decompose_crosspolytope, bodies.contains_exact
+    if base.is_polytopal:
+        decompose = decompose_simplex if base.nonnegative else decompose_crosspolytope
+        inside = bodies.contains_exact
     else:
         decompose = functools.partial(_peel, base, tol=tol)
         inside = functools.partial(bodies.contains_float, tol=tol)
@@ -248,8 +239,7 @@ def t_sequence(n: int, p: float, k_max: int) -> TSequence:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    BodySpec(LP, n, p)  # rejects p that is not finite or below 1
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     if p == 1:
@@ -299,40 +289,27 @@ def verify_covering_lp(
     """
     if family not in (QUARTER_LP, LP):
         raise ValueError("l_p verification covers qlp and lp")
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if p == 1:
-        polytopal = SIMPLEX if family == QUARTER_LP else CROSSPOLYTOPE
+    base = BodySpec(family, n, p)
+    bodies.check_tol(tol)
+    if base.is_polytopal:
+        polytopal = SIMPLEX if base.nonnegative else CROSSPOLYTOPE
         return verify_covering_exact(
             polytopal, n, k, samples, seed, corrupt_witness=corrupt_witness
         )
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    set_kind = lattice_sets.M1 if family == QUARTER_LP else lattice_sets.M2
-    spec = LatticeSetSpec(set_kind, n, k)
-    base = BodySpec(family, n, p, Fraction(1))
-    scaled = base.rescaled(((n + k) / n) ** (1.0 / p))
-    return _verify(spec, base, scaled, samples, seed, corrupt_witness, tol)
+    scale = ((n + k) / n) ** (1.0 / p)
+    return _verify(base, k, scale, samples, seed, corrupt_witness, tol)
 
 
 def gamma_upper_bound(family: str, n: int, p: float, k: int) -> GammaBound:
     """Covering-functional upper bound from the k-th lattice covering.
 
-    Simplex-like families use the C(n+k, n) translates of M1, the
+    Nonnegative bodies use the C(n+k, n) translates of M1, the
     centrally symmetric ones the m2(n, k) translates of M2; the shrink
     factor is (n/(n+k))^(1/p), exact when p = 1.
     """
-    if family not in bodies.FAMILIES:
-        raise ValueError(f"unknown body family: {family!r}")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if family in (SIMPLEX, CROSSPOLYTOPE):
-        p = 1.0
-    if family in (SIMPLEX, QUARTER_LP):
-        m = combinatorics.m1_count(n, k)
-    else:
-        m = combinatorics.m2_count_closed(n, k)
+    body = BodySpec(family, n, p)
+    m = lattice_sets.count(_translation_set(body, k))
     ratio = Fraction(n, n + k)
     rho: Union[Fraction, float]
-    rho = ratio if p == 1 else float(ratio) ** (1.0 / p)
-    return GammaBound(m, rho, BodySpec(family, n, p, Fraction(1)))
+    rho = ratio if body.is_polytopal else float(ratio) ** (1.0 / p)
+    return GammaBound(m, rho, body)

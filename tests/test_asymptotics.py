@@ -171,6 +171,10 @@ def test_convergence_table_validation():
         convergence_table("nope", [3])
     with pytest.raises(ValueError):
         convergence_table("lp", [3], p=0.5)
+    with pytest.raises(ValueError):
+        convergence_table("lp", [3], p=math.nan)
+    with pytest.raises(ValueError):
+        convergence_table("simplex", [3], p=2.0)
 
 
 def test_rogers_zong_values():

@@ -145,6 +145,14 @@ def test_domain_errors_exit_2(capsys):
         "verify-cover --body lp --n 2 --k 1 --p 2 --tol nan --samples 5",
         "verify-cover --body qlp --n 2 --k 0 --p 2 --tol inf --samples 5",
         "gamma-bound --body lp --n 2 --k 1 --p nan",
+        "tnpk --n 2 --p nan --k 2",
+        "tnpk --n 2 --p inf --k 2",
+        "converge --body lp --n-list 5 --p nan",
+        "converge --body simplex --n-list 5 --p 2",
+        "gamma-bound --body simplex --n 5 --k 1 --p 2",
+        "verify-cover --body lp --p 1 --n 2 --k 1 --samples 3 --tol nan",
+        "rz-bound --n 2000 --r 0.001",
+        "tnpk --n 3 --p 1e6 --k 2",
     ):
         code, out, err = run_cli(capsys, *argv.split())
         assert code == 2, argv

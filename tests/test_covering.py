@@ -152,6 +152,9 @@ def test_t_sequence_validation():
         t_sequence(3, 0.5, 3)
     with pytest.raises(ValueError):
         t_sequence(3, 2.0, -1)
+    for p in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            t_sequence(3, p, 3)
 
 
 def test_verify_covering_lp_passes():
@@ -198,6 +201,13 @@ def test_verify_covering_lp_validation():
         verify_covering_lp("simplex", 2, 2.0, 1)
     with pytest.raises(ValueError):
         verify_covering_lp("lp", 2, 0.5, 1)
+    with pytest.raises(ValueError):
+        verify_covering_lp("lp", 2, 1.0, 1, samples=3, tol=math.nan)
+    with pytest.raises(ValueError) as lp_error:
+        verify_covering_lp("lp", 0, 2.0, 1)
+    with pytest.raises(ValueError) as exact_error:
+        verify_covering_exact("simplex", 0, 1)
+    assert str(lp_error.value) == str(exact_error.value)
 
 
 def test_gamma_upper_bound_simplex():
@@ -247,3 +257,5 @@ def test_gamma_upper_bound_validation():
         gamma_upper_bound("nope", 3, 1.0, 1)
     with pytest.raises(ValueError):
         gamma_upper_bound("simplex", 3, 1.0, -1)
+    with pytest.raises(ValueError):
+        gamma_upper_bound("simplex", 3, 2.0, 1)
