@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
-from . import asymptotics, combinatorics, covering, lattice_sets
-from .bodies import FAMILIES
+from . import asymptotics, covering, lattice_sets
+from .bodies import FAMILIES, LP, QUARTER_LP
 
 FORMATS = ("plain", "json", "csv")
+# verify-cover's --p when omitted; simplex and crosspolytope are p = 1 bodies.
+_DEFAULT_P = {QUARTER_LP: 2.0, LP: 2.0}
 
 
 def _scalar(value) -> str:
@@ -43,10 +46,7 @@ def _render(fmt: str, record: dict, rows=None, lines=None) -> None:
 
 
 def _cmd_count(args) -> int:
-    if args.set == "m1":
-        value = combinatorics.m1_count(args.n, args.k)
-    else:
-        value = combinatorics.m2_count_closed(args.n, args.k)
+    value = lattice_sets.count(lattice_sets.LatticeSetSpec(args.set, args.n, args.k))
     record = {"set": args.set, "n": args.n, "k": args.k, "count": str(value)}
     _render(args.format, record, rows=[list(record), list(record.values())],
             lines=[value])
@@ -64,16 +64,11 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify_cover(args) -> int:
-    if args.body in ("simplex", "crosspolytope"):
-        report = covering.verify_covering_exact(
-            args.body, args.n, args.k, args.samples, args.seed,
-            corrupt_witness=args.inject_corrupt_witness,
-        )
-    else:
-        report = covering.verify_covering_lp(
-            args.body, args.n, args.p, args.k, args.samples, args.seed, args.tol,
-            corrupt_witness=args.inject_corrupt_witness,
-        )
+    p = _DEFAULT_P.get(args.body, 1.0) if args.p is None else args.p
+    report = covering.verify_covering_lp(
+        args.body, args.n, p, args.k, args.samples, args.seed, args.tol,
+        corrupt_witness=args.inject_corrupt_witness,
+    )
     d = report.to_dict()
     lines = [f"{key} = {_scalar(value)}" for key, value in d.items() if key != "ok"]
     _render(args.format, d, lines=lines + ["ok" if report.ok else "FAILED"])
@@ -139,7 +134,15 @@ def _cmd_rz_bound(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; callers share it."""
+    shared = {
+        "--set": dict(choices=(lattice_sets.M1, lattice_sets.M2), required=True),
+        "--body": dict(choices=FAMILIES, required=True),
+        "--n": dict(type=int, required=True),
+        "--k": dict(type=int, required=True),
+    }
     parser = argparse.ArgumentParser(
         prog="hadcover",
         description="Lattice coverings and covering-functional bounds for "
@@ -147,53 +150,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **help_kw):
-        p = sub.add_parser(name, **help_kw)
+    def add(name, handler, summary, *flags):
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
         p.add_argument("--format", choices=FORMATS, default="plain")
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
         return p
 
-    p = add("count", _cmd_count, help="count a translation set")
-    p.add_argument("--set", choices=("m1", "m2"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    add("count", _cmd_count, "count a translation set", "--set", "--n", "--k")
+    add("enumerate", _cmd_enumerate, "list a translation set, one point per line",
+        "--set", "--n", "--k")
 
-    p = add("enumerate", _cmd_enumerate, help="list a translation set, one point per line")
-    p.add_argument("--set", choices=("m1", "m2"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("verify-cover", _cmd_verify_cover, help="verify a covering by sampling")
-    p.add_argument("--body", choices=FAMILIES, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=float, default=2.0)
+    p = add("verify-cover", _cmd_verify_cover, "verify a covering by sampling",
+            "--body", "--n", "--k")
+    p.add_argument("--p", type=float)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--inject-corrupt-witness", action="store_true",
                    help=argparse.SUPPRESS)
 
-    p = add("gamma-bound", _cmd_gamma_bound, help="covering-functional upper bound")
-    p.add_argument("--body", choices=FAMILIES, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = add("gamma-bound", _cmd_gamma_bound, "covering-functional upper bound",
+            "--body", "--n", "--k")
     p.add_argument("--p", type=float, default=1.0)
 
-    p = add("tnpk", _cmd_tnpk, help="certified l_p scale sequence")
-    p.add_argument("--n", type=int, required=True)
+    p = add("tnpk", _cmd_tnpk, "certified l_p scale sequence", "--n")
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", **shared["--k"])
 
-    add("constants", _cmd_constants, help="growth constants c1, c3, c4")
+    add("constants", _cmd_constants, "growth constants c1, c3, c4")
 
-    p = add("converge", _cmd_converge, help="threshold/bound table over dimensions")
-    p.add_argument("--body", choices=FAMILIES, required=True)
+    p = add("converge", _cmd_converge, "threshold/bound table over dimensions", "--body")
     p.add_argument("--n-list", required=True, help="comma-separated dimensions")
     p.add_argument("--p", type=float, default=1.0)
 
-    p = add("rz-bound", _cmd_rz_bound, help="classical translate-count bound")
-    p.add_argument("--n", type=int, required=True)
+    p = add("rz-bound", _cmd_rz_bound, "classical translate-count bound", "--n")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--variant", choices=("remark", "intro"), default="remark")
 

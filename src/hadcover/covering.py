@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import bodies, lattice_sets
-from .bodies import BodySpec, CROSSPOLYTOPE, LP, QUARTER_LP, SIMPLEX
+from .bodies import BodySpec, CROSSPOLYTOPE, LP, SIMPLEX
 from .lattice_sets import LatticeSetSpec
 
 _BISECT_TOL = 1e-12
@@ -284,18 +284,15 @@ def verify_covering_lp(
     coordinate one unit toward zero; the accumulated lattice vector z
     must land in the matching translation set and y - z in the body.
     Only this inclusion is claimed for p > 1, so translates are not
-    required to stay inside the scaled body.  p = 1 inputs route to the
-    exact verifier.
+    required to stay inside the scaled body.  Every family is accepted:
+    simplex and crosspolytope are the p = 1 cases of qlp and lp, and
+    p = 1 inputs route to the exact verifier.
     """
-    if family not in (QUARTER_LP, LP):
-        raise ValueError("l_p verification covers qlp and lp")
     base = BodySpec(family, n, p)
     bodies.check_tol(tol)
     if base.is_polytopal:
-        polytopal = SIMPLEX if base.nonnegative else CROSSPOLYTOPE
-        return verify_covering_exact(
-            polytopal, n, k, samples, seed, corrupt_witness=corrupt_witness
-        )
+        exact = SIMPLEX if base.nonnegative else CROSSPOLYTOPE
+        return verify_covering_exact(exact, n, k, samples, seed, corrupt_witness)
     scale = ((n + k) / n) ** (1.0 / p)
     return _verify(base, k, scale, samples, seed, corrupt_witness, tol)
 

@@ -31,21 +31,29 @@ class LatticeSetSpec:
 def enumerate_points(spec: LatticeSetSpec) -> Iterator[tuple[int, ...]]:
     """Yield every member exactly once, in lexicographic order.
 
-    Memory stays O(n): each coordinate takes a value and the remaining
-    coordinates recurse on the leftover budget.
+    An odometer with O(n) state and no recursion: budget[i] is what the
+    l1 sum leaves for coordinates i onward.  Each step raises the
+    rightmost coordinate that is still below its budget and resets every
+    later coordinate to its least value (0 for m1, minus the leftover
+    budget for m2).
     """
-    yield from _walk(spec.n, spec.k, (), spec.kind == M2)
-
-
-def _walk(
-    n_left: int, budget: int, prefix: tuple[int, ...], signed: bool
-) -> Iterator[tuple[int, ...]]:
-    if n_left == 0:
-        yield prefix
-        return
-    lo = -budget if signed else 0
-    for v in range(lo, budget + 1):
-        yield from _walk(n_left - 1, budget - abs(v), prefix + (v,), signed)
+    n, signed = spec.n, spec.kind == M2
+    z = [0] * n
+    budget = [spec.k] * (n + 1)
+    i = 0
+    while True:
+        for j in range(i, n):
+            z[j] = -budget[j] if signed else 0
+            budget[j + 1] = budget[j] - abs(z[j])
+        yield tuple(z)
+        i = n - 1
+        while i >= 0 and z[i] == budget[i]:
+            i -= 1
+        if i < 0:
+            return
+        z[i] += 1
+        budget[i + 1] = budget[i] - abs(z[i])
+        i += 1
 
 
 def member(spec: LatticeSetSpec, z: Sequence[int]) -> bool:

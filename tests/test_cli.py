@@ -1,10 +1,12 @@
+import argparse
+import gc
 import json
 import subprocess
 import sys
 
 import pytest
 
-from hadcover.cli import main
+from hadcover.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +155,10 @@ def test_domain_errors_exit_2(capsys):
         "verify-cover --body lp --p 1 --n 2 --k 1 --samples 3 --tol nan",
         "rz-bound --n 2000 --r 0.001",
         "tnpk --n 3 --p 1e6 --k 2",
+        "count --set m1 --n 0 --k 3",
+        "verify-cover --body simplex --n 2 --k 1 --p nan --samples 5",
+        "verify-cover --body crosspolytope --n 2 --k 1 --p 7 --samples 5",
+        "verify-cover --body simplex --n 2 --k 1 --tol nan --samples 5",
     ):
         code, out, err = run_cli(capsys, *argv.split())
         assert code == 2, argv
@@ -168,6 +174,24 @@ def test_argparse_errors_exit_2(capsys):
         main(["nonsense"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_parser_is_built_once(capsys):
+    assert build_parser() is build_parser()
+
+    def parsers_alive_after(calls):
+        gc.collect()
+        for _ in range(calls):
+            main(["count", "--set", "m1", "--n", "2", "--k", "1"])
+        return sum(isinstance(obj, argparse.ArgumentParser) for obj in gc.get_objects())
+
+    gc.disable()
+    try:
+        once, ten_times = parsers_alive_after(1), parsers_alive_after(10)
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert ten_times <= once
 
 
 def test_repeated_runs_are_byte_identical(capsys):

@@ -1,7 +1,9 @@
 """Every subcommand in every output format, pinned byte for byte.
 
 ``cli_golden.json`` maps each argv (joined by spaces) to its exit code,
-stdout and stderr.  To record it again after an intended output change:
+stdout and stderr; ``cli_help_golden.json`` does the same for ``--help``
+of the top level and of every subcommand, rendered 80 columns wide.  To
+record both again after an intended output change:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -9,13 +11,16 @@ stdout and stderr.  To record it again after an intended output change:
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from hadcover.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
+HELP_GOLDEN = Path(__file__).with_name("cli_help_golden.json")
 
 COMMANDS = [
     "count --set m1 --n 3 --k 2",
@@ -42,12 +47,20 @@ COMMANDS = [
 ]
 FORMATS = ("plain", "json", "csv")
 ARGVS = [f"{command} --format {fmt}" for command in COMMANDS for fmt in FORMATS]
+SUBCOMMANDS = ("count", "enumerate", "verify-cover", "gamma-bound", "tnpk",
+               "constants", "converge", "rz-bound")
+HELP_ARGVS = ["--help"] + [f"{name} --help" for name in SUBCOMMANDS]
 
 
 def run(argv: str) -> dict:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv.split())
+    # argparse wraps help text to the terminal width it reads from COLUMNS.
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:  # --help exits through argparse
+            code = exc.code
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -56,8 +69,14 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-def test_golden_covers_every_argv(golden):
+@pytest.fixture(scope="module")
+def help_golden():
+    return json.loads(HELP_GOLDEN.read_text())
+
+
+def test_golden_covers_every_argv(golden, help_golden):
     assert sorted(golden) == sorted(ARGVS)
+    assert sorted(help_golden) == sorted(HELP_ARGVS)
 
 
 @pytest.mark.parametrize("argv", ARGVS)
@@ -65,5 +84,12 @@ def test_cli_output_matches_golden(golden, argv):
     assert run(argv) == golden[argv]
 
 
+@pytest.mark.parametrize("argv", HELP_ARGVS)
+def test_help_matches_golden(help_golden, argv):
+    assert run(argv) == help_golden[argv]
+    assert help_golden[argv]["code"] == 0
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({argv: run(argv) for argv in ARGVS}, indent=1) + "\n")
+    for path, argvs in ((GOLDEN, ARGVS), (HELP_GOLDEN, HELP_ARGVS)):
+        path.write_text(json.dumps({argv: run(argv) for argv in argvs}, indent=1) + "\n")

@@ -194,6 +194,12 @@ def test_verify_covering_lp_reduces_to_exact_at_p1():
     via_lp = verify_covering_lp("lp", 2, 1.0, 1, samples=100, seed=6)
     direct = verify_covering_exact("crosspolytope", 2, 1, samples=100, seed=6)
     assert via_lp.to_dict() == direct.to_dict()
+    via_lp = verify_covering_lp("simplex", 3, 1.0, 2, samples=100, seed=5)
+    direct = verify_covering_exact("simplex", 3, 2, samples=100, seed=5)
+    assert via_lp.to_dict() == direct.to_dict()
+    via_lp = verify_covering_lp("crosspolytope", 2, 1.0, 1, samples=100, seed=6)
+    direct = verify_covering_exact("crosspolytope", 2, 1, samples=100, seed=6)
+    assert via_lp.to_dict() == direct.to_dict()
 
 
 def test_verify_covering_lp_validation():

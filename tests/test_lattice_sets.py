@@ -61,7 +61,7 @@ def test_m1_is_subset_of_m2():
 
 def test_k_zero_is_origin_only():
     for kind in ("m1", "m2"):
-        for n in range(1, 5):
+        for n in (*range(1, 5), 1500):
             spec = LatticeSetSpec(kind, n, 0)
             assert list(enumerate_points(spec)) == [(0,) * n]
 
