@@ -202,7 +202,7 @@ def convergence_table(
     rows = []
     for n in n_list:
         k = threshold(n)
-        rows.append(ConvergenceRow(n, k, k / n, (n / (n + k)) ** (1.0 / p)))
+        rows.append(ConvergenceRow(n, k, k / n, float(body.pth_root(n, n + k))))
     return rows
 
 

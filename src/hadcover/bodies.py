@@ -70,6 +70,10 @@ class BodySpec:
     def rescaled(self, scale: Scale) -> "BodySpec":
         return BodySpec(self.family, self.n, self.p, scale)
 
+    def pth_root(self, num: int, den: int) -> Scale:
+        """(num/den)^(1/p): an exact Fraction for polytopal bodies, else a float."""
+        return Fraction(num, den) if self.is_polytopal else (num / den) ** (1.0 / self.p)
+
 
 def simplex(n: int, scale: Scale = Fraction(1)) -> BodySpec:
     return BodySpec(SIMPLEX, n, 1.0, scale)
@@ -210,11 +214,18 @@ def _sample_float(body: BodySpec, rng: random.Random) -> tuple:
         target = bound * rng.random()
     while True:
         weights = [rng.random() for _ in range(n)]
-        power_sum = sum(w**p for w in weights)
-        if power_sum > 0:
+        top = max(weights)
+        if top > 0:
             break
-    factor = (target / power_sum) ** (1.0 / p)
+    # With the largest weight at 1 the power sum is >= 1 at any p.
+    weights = [w / top for w in weights]
+    factor = (target / sum(w**p for w in weights)) ** (1.0 / p)
     coords = [factor * w for w in weights]
+    # One ulp of factor scales the power sum by about exp(p * 2**-52),
+    # past any tolerance at large p: step down until the point is inside.
+    while sum(c**p for c in coords) > bound:
+        factor = math.nextafter(factor, 0.0)
+        coords = [factor * w for w in weights]
     if not body.nonnegative:
         coords = [c if rng.random() < 0.5 else -c for c in coords]
     return tuple(coords)

@@ -94,12 +94,12 @@ class CoveringReport:
 
 def decompose_simplex(n: int, k: int, y: Sequence) -> WitnessDecomposition:
     """Split y in ((n+k)/n) * simplex as z + residual with z in M1(n, k)."""
-    return _decompose(bodies.simplex(n, Fraction(n + k, n)), y)
+    return _decompose(_inflated(bodies.simplex(n), k), y)
 
 
 def decompose_crosspolytope(n: int, k: int, y: Sequence) -> WitnessDecomposition:
     """Split y in ((n+k)/n) * cross-polytope as z + residual, z in M2(n, k)."""
-    return _decompose(bodies.cross_polytope(n, Fraction(n + k, n)), y)
+    return _decompose(_inflated(bodies.cross_polytope(n), k), y)
 
 
 def _decompose(scaled: BodySpec, y: Sequence) -> WitnessDecomposition:
@@ -135,35 +135,35 @@ def _translation_set(body: BodySpec, k: int) -> LatticeSetSpec:
     return LatticeSetSpec(kind, body.n, k)
 
 
+def _inflated(base: BodySpec, k: int) -> BodySpec:
+    """base scaled by ((n+k)/n)^(1/p), the body its k-th lattice covering covers."""
+    return base.rescaled(base.pth_root(base.n + k, base.n))
+
+
 def verify_covering_exact(
     family: str,
     n: int,
     k: int,
     samples: int = 1000,
     seed: int = 42,
-    corrupt_witness: bool = False,
 ) -> CoveringReport:
     """Check both inclusions of the exact covering identity by sampling.
 
     Every sampled point of the scaled body must decompose into a valid
     witness (zero failures allowed), and every translate vertex must lie
-    inside the scaled body, exhaustively over the translation set.  The
-    corrupt_witness hook deliberately breaks each witness so failure
-    handling can be exercised end to end.
+    inside the scaled body, exhaustively over the translation set.
     """
     if family not in (SIMPLEX, CROSSPOLYTOPE):
         raise ValueError("exact verification covers simplex and crosspolytope")
-    base = BodySpec(family, n)
-    return _verify(base, k, Fraction(n + k, n), samples, seed, corrupt_witness)
+    return _verify(BodySpec(family, n), k, samples, seed)
 
 
 def _verify(
-    base: BodySpec, k: int, scale: bodies.Scale, samples: int, seed: int,
-    corrupt_witness: bool, tol: Optional[float] = None,
+    base: BodySpec, k: int, samples: int, seed: int, tol: Optional[float] = None
 ) -> CoveringReport:
     """The verification loop behind both public verifiers.
 
-    Samples come from base inflated by scale.  Every witness of a sample
+    Samples come from the inflated base body.  Every witness of a sample
     y is re-checked from scratch: z in the translation set and y - z in
     the base body (within tol for curved bodies).  Polytopal bodies then
     get the exhaustive translate sweep.  Module functions are looked up
@@ -172,7 +172,7 @@ def _verify(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     spec = _translation_set(base, k)
-    scaled = base.rescaled(scale)
+    scaled = _inflated(base, k)
     n = base.n
     report = CoveringReport(
         kind=f"{spec.kind}-{base.family}", n=n, k=k, p=base.p, samples=samples, seed=seed
@@ -186,11 +186,8 @@ def _verify(
 
     for y in bodies.sample_boundary(scaled, samples, seed):
         witness = decompose(n, k, y)
-        z = witness.z
-        if corrupt_witness:
-            z = (z[0] + k + 1,) + z[1:]
-        residual = [c - w for c, w in zip(y, z)]
-        if not (lattice_sets.member(spec, z) and inside(base, residual)):
+        residual = [c - w for c, w in zip(y, witness.z)]
+        if not (lattice_sets.member(spec, witness.z) and inside(base, residual)):
             report.witness_failures += 1
         level = witness.shell_level
         report.shell_levels[level] = report.shell_levels.get(level, 0) + 1
@@ -275,7 +272,6 @@ def verify_covering_lp(
     samples: int = 500,
     seed: int = 42,
     tol: float = 1e-9,
-    corrupt_witness: bool = False,
 ) -> CoveringReport:
     """Peeling verification of the one-sided l_p covering inclusion.
 
@@ -292,9 +288,8 @@ def verify_covering_lp(
     bodies.check_tol(tol)
     if base.is_polytopal:
         exact = SIMPLEX if base.nonnegative else CROSSPOLYTOPE
-        return verify_covering_exact(exact, n, k, samples, seed, corrupt_witness)
-    scale = ((n + k) / n) ** (1.0 / p)
-    return _verify(base, k, scale, samples, seed, corrupt_witness, tol)
+        return verify_covering_exact(exact, n, k, samples, seed)
+    return _verify(base, k, samples, seed, tol)
 
 
 def gamma_upper_bound(family: str, n: int, p: float, k: int) -> GammaBound:
@@ -306,7 +301,4 @@ def gamma_upper_bound(family: str, n: int, p: float, k: int) -> GammaBound:
     """
     body = BodySpec(family, n, p)
     m = lattice_sets.count(_translation_set(body, k))
-    ratio = Fraction(n, n + k)
-    rho: Union[Fraction, float]
-    rho = ratio if body.is_polytopal else float(ratio) ** (1.0 / p)
-    return GammaBound(m, rho, body)
+    return GammaBound(m, body.pth_root(n, n + k), body)

@@ -36,6 +36,7 @@ from hadcover.covering import (
     verify_covering_lp,
 )
 import oracles
+from conftest import break_witnesses
 
 
 def _verdict(capsys, name, ok):
@@ -177,7 +178,7 @@ def test_acceptance_7_gamma_tables(capsys):
     _verdict(capsys, "finite-n gamma rows and the 1/p lift", ok)
 
 
-def test_acceptance_8_cli_contract(capsys):
+def test_acceptance_8_cli_contract(capsys, monkeypatch):
     commands = [
         ["count", "--set", "m2", "--n", "4", "--k", "3", "--format", "json"],
         ["verify-cover", "--body", "crosspolytope", "--n", "3", "--k", "2",
@@ -193,8 +194,9 @@ def test_acceptance_8_cli_contract(capsys):
         second = capsys.readouterr()
         ok = ok and code1 == code2 == 0
         ok = ok and first.out == second.out and first.err == second.err
+    break_witnesses(monkeypatch)
     code = main(["verify-cover", "--body", "simplex", "--n", "2", "--k", "1",
-                 "--samples", "20", "--inject-corrupt-witness", "--format", "json"])
+                 "--samples", "20", "--format", "json"])
     corrupt = capsys.readouterr()
     ok = ok and code == 1
     ok = ok and json.loads(corrupt.out)["ok"] is False

@@ -152,7 +152,9 @@ def test_samples_stay_inside_exact_bodies():
 
 
 def test_samples_stay_inside_float_bodies():
-    for body in (quarter_lp(3, 2.0, 1.2), lp_ball(2, 1.5, 1.1)):
+    # At p = 1100 and 5000 every w**p of a draw can underflow to zero.
+    for body in (quarter_lp(3, 2.0, 1.2), lp_ball(2, 1.5, 1.1),
+                 lp_ball(2, 1100.0), quarter_lp(2, 5000.0)):
         for point in sample_boundary(body, 200, 9):
             assert contains_float(body, point, tol=1e-9)
 

@@ -111,6 +111,11 @@ def test_verify_cover_ok(capsys):
     assert code == 0
     assert out.rstrip().endswith("ok")
     assert "translates_checked = 5" in out
+    # At p = 5000 every w**p of a sample draw can underflow to zero.
+    code, out, _ = run_cli(capsys, "verify-cover", "--body", "lp", "--n", "2",
+                           "--k", "1", "--p", "5000", "--samples", "50")
+    assert code == 0
+    assert out.rstrip().endswith("ok")
 
 
 def test_verify_cover_json(capsys):
@@ -125,9 +130,9 @@ def test_verify_cover_json(capsys):
     assert sum(data["shell_levels"].values()) == 30
 
 
-def test_verify_cover_corrupt_witness_exits_nonzero(capsys):
+def test_verify_cover_broken_witness_exits_1(capsys, broken_witnesses):
     code, out, _ = run_cli(capsys, "verify-cover", "--body", "simplex", "--n", "2",
-                           "--k", "1", "--samples", "20", "--inject-corrupt-witness")
+                           "--k", "1", "--samples", "20")
     assert code == 1
     assert out.rstrip().endswith("FAILED")
     assert "witness_failures = 20" in out
@@ -173,7 +178,11 @@ def test_argparse_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-cover", "--body", "simplex", "--n", "2", "--k", "1",
+              "--inject-corrupt-witness"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --inject-corrupt-witness" in capsys.readouterr().err
 
 
 def test_parser_is_built_once(capsys):

@@ -1,7 +1,9 @@
 """Every subcommand in every output format, pinned byte for byte.
 
 ``cli_golden.json`` maps each argv (joined by spaces) to its exit code,
-stdout and stderr; ``cli_help_golden.json`` does the same for ``--help``
+stdout and stderr; the ``BROKEN_WITNESS`` commands run with every
+covering witness broken (``conftest.break_witnesses``), which pins the
+failure output.  ``cli_help_golden.json`` does the same for ``--help``
 of the top level and of every subcommand, rendered 80 columns wide.  To
 record both again after an intended output change:
 
@@ -18,6 +20,7 @@ from unittest import mock
 import pytest
 
 from hadcover.cli import main
+from conftest import break_witnesses
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 HELP_GOLDEN = Path(__file__).with_name("cli_help_golden.json")
@@ -32,7 +35,7 @@ COMMANDS = [
     "verify-cover --body qlp --n 3 --k 2 --p 2.5 --samples 60 --seed 11",
     "verify-cover --body lp --n 3 --k 2 --p 2 --samples 60 --seed 5",
     "verify-cover --body lp --n 2 --k 1 --p 1 --samples 30 --seed 6",
-    "verify-cover --body simplex --n 2 --k 1 --samples 20 --inject-corrupt-witness",
+    "verify-cover --body simplex --n 2 --k 1 --samples 20",
     "gamma-bound --body simplex --n 3 --k 1",
     "gamma-bound --body lp --n 4 --k 2 --p 3",
     "tnpk --n 2 --p 1 --k 3",
@@ -45,6 +48,7 @@ COMMANDS = [
     "rz-bound --n 2 --r 0.5",
     "tnpk --n 1 --p 2 --k 3",
 ]
+BROKEN_WITNESS = {"verify-cover --body simplex --n 2 --k 1 --samples 20"}
 FORMATS = ("plain", "json", "csv")
 ARGVS = [f"{command} --format {fmt}" for command in COMMANDS for fmt in FORMATS]
 SUBCOMMANDS = ("count", "enumerate", "verify-cover", "gamma-bound", "tnpk",
@@ -56,7 +60,10 @@ def run(argv: str) -> dict:
     out, err = io.StringIO(), io.StringIO()
     # argparse wraps help text to the terminal width it reads from COLUMNS.
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            pytest.MonkeyPatch.context() as monkeypatch:
+        if argv.rsplit(" --format", 1)[0] in BROKEN_WITNESS:
+            break_witnesses(monkeypatch)
         try:
             code = main(argv.split())
         except SystemExit as exc:  # --help exits through argparse

@@ -1,0 +1,88 @@
+"""Property tests of the CLI exit-code contract.
+
+Any argv exits 0 or 2, never with a traceback, and exit 2 prints one
+``error:`` line; exit 1 is left to a covering verification that really
+fails, which no valid input produces.
+"""
+
+import contextlib
+import io
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from hadcover.bodies import FAMILIES
+from hadcover.cli import FORMATS, main
+
+SETTINGS = settings(derandomize=True, deadline=None, database=None)
+
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324,
+               0.0, -0.0, 1.0, 2.0, 0.5, 1e-9)
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+ints = st.integers(-3, 40)
+small_n = st.integers(-1, 6)
+small_k = st.integers(-1, 3)
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _argv(command, **options):
+    # --name=value keeps argparse from reading "-inf" or "-1e308" as a flag.
+    argv = [command]
+    for name, value in options.items():
+        if value is not None:
+            argv.append(f"--{name.replace('_', '-')}={value}")
+    return argv
+
+
+def _optional(strategy):
+    return st.none() | strategy
+
+
+lattice_set = st.sampled_from(("m1", "m2"))
+body = st.sampled_from(FAMILIES)
+fmt = st.sampled_from(FORMATS)
+
+ANY_ARGV = st.one_of(
+    st.builds(_argv, st.just("count"), set=lattice_set, n=ints, k=ints, format=fmt),
+    st.builds(_argv, st.just("enumerate"), set=lattice_set, n=small_n, k=small_k,
+              format=fmt),
+    st.builds(_argv, st.just("verify-cover"), body=body, n=small_n, k=small_k,
+              p=_optional(floats), samples=_optional(st.integers(-1, 20)),
+              seed=_optional(st.integers()), tol=_optional(floats), format=fmt),
+    st.builds(_argv, st.just("gamma-bound"), body=body, n=ints, k=ints,
+              p=_optional(floats), format=fmt),
+    st.builds(_argv, st.just("tnpk"), n=ints, p=floats, k=ints, format=fmt),
+    st.builds(_argv, st.just("constants"), format=fmt),
+    st.builds(_argv, st.just("converge"), body=body,
+              n_list=st.lists(ints, max_size=4).map(lambda ns: ",".join(map(str, ns))),
+              p=_optional(floats), format=fmt),
+    st.builds(_argv, st.just("rz-bound"), n=ints, r=floats,
+              variant=_optional(st.sampled_from(("remark", "intro"))), format=fmt),
+)
+
+
+@SETTINGS
+@given(ANY_ARGV)
+def test_any_argv_exits_0_or_2(argv):
+    code, out, err = run(argv)
+    assert code in (0, 2), (argv, out, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@SETTINGS
+@given(st.builds(_argv, st.just("verify-cover"), body=st.sampled_from(("qlp", "lp")),
+                 n=st.integers(1, 5), k=st.integers(0, 3),
+                 p=st.floats(1.0, 1e308), samples=st.integers(1, 20)))
+def test_valid_verify_cover_exits_0_ok(argv):
+    code, out, err = run(argv)
+    assert (code, err) == (0, ""), (argv, out, err)
+    assert out.rstrip().endswith("ok")

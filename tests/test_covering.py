@@ -90,13 +90,11 @@ def test_verify_covering_exact_checks_every_translate():
     assert report.translates_checked == 6
 
 
-def test_verify_covering_exact_corrupt_witness_fails():
-    report = verify_covering_exact("simplex", 2, 1, samples=40, seed=3,
-                                   corrupt_witness=True)
+def test_verify_covering_exact_broken_witness_fails(broken_witnesses):
+    report = verify_covering_exact("simplex", 2, 1, samples=40, seed=3)
     assert not report.ok
     assert report.witness_failures == 40
-    report = verify_covering_exact("crosspolytope", 2, 1, samples=40, seed=3,
-                                   corrupt_witness=True)
+    report = verify_covering_exact("crosspolytope", 2, 1, samples=40, seed=3)
     assert not report.ok
     assert report.witness_failures > 0
 
@@ -172,17 +170,14 @@ def test_verify_covering_lp_k_zero():
     assert report.shell_levels == {0: 100}
 
 
-def test_verify_covering_lp_corrupt_witness_fails():
-    report = verify_covering_lp("qlp", 2, 2.0, 1, samples=60, seed=5,
-                                corrupt_witness=True)
+def test_verify_covering_lp_broken_witness_fails(broken_witnesses):
+    report = verify_covering_lp("qlp", 2, 2.0, 1, samples=60, seed=5)
     assert not report.ok
     assert report.witness_failures == 60
-    report = verify_covering_lp("lp", 2, 2.0, 1, samples=60, seed=5,
-                                corrupt_witness=True)
+    report = verify_covering_lp("lp", 2, 2.0, 1, samples=60, seed=5)
     assert not report.ok
     assert report.witness_failures == 60
-    report = verify_covering_lp("lp", 3, 3.0, 2, samples=20, seed=42,
-                                corrupt_witness=True)
+    report = verify_covering_lp("lp", 3, 3.0, 2, samples=20, seed=42)
     assert not report.ok
     assert report.witness_failures == 20
 
