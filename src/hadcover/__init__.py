@@ -33,12 +33,10 @@ from .bodies import (
     vertices,
 )
 from .combinatorics import (
-    CountTable,
     binomial,
     m1_count,
     m2_count_closed,
     m2_count_recurrence,
-    power_of_two,
 )
 from .covering import (
     CoveringReport,
@@ -59,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BodySpec",
     "ConvergenceRow",
-    "CountTable",
     "CoveringReport",
     "CROSSPOLYTOPE",
     "GammaBound",
@@ -89,7 +86,6 @@ __all__ = [
     "m2_count_closed",
     "m2_count_recurrence",
     "member",
-    "power_of_two",
     "quarter_lp",
     "rogers_zong_bound",
     "sample_boundary",

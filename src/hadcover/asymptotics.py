@@ -11,12 +11,13 @@ big-integer comparison against 2^n, never by floating point.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .bodies import BodySpec
-from .combinatorics import binomial, m2_count_closed
+from .combinatorics import binomial, m1_count, m2_count_closed
 
 DEFAULT_TOL = 1e-12
 
@@ -151,7 +152,7 @@ def k_of_n_simplex(n: int) -> int:
     """Largest k with C(n+k, n) <= 2^n, by exact comparison."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _largest_k(lambda k: math.comb(n + k, n), 1 << n)
+    return _largest_k(lambda k: m1_count(n, k), 1 << n)
 
 
 def k_max_crosspolytope(n: int) -> int:
@@ -178,15 +179,15 @@ def _largest_k(count: Callable[[int], int], target: int) -> int:
 def k1_k2_of_n(n: int) -> tuple[int, int]:
     """Exact sandwich thresholds: k1 from 2^k C(n+k, k), k2 from 2^k C(n, k).
 
-    Each is the last k before its product first exceeds 2^n.  The k2
-    scan stays inside k <= n, where 2^k C(n, k) is still climbing.
+    Each is the last k before its product first exceeds 2^n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     target = 1 << n
-    k1 = 0
-    while (1 << (k1 + 1)) * math.comb(n + k1 + 1, k1 + 1) <= target:
-        k1 += 1
+    # 2^k C(n+k, k) grows by the factor 2(n+k+1)/(k+1) > 1 at each step.
+    k1 = _largest_k(lambda k: (1 << k) * m1_count(n, k), target)
+    # 2^k C(n, k) falls again past k ~ 2n/3 and equals 2^n at k = n, so it
+    # is not monotone and _largest_k does not apply: scan up from k = 0.
     k2 = 0
     while k2 + 1 <= n and (1 << (k2 + 1)) * binomial(n, k2 + 1) <= target:
         k2 += 1
@@ -223,4 +224,8 @@ def rogers_zong_bound(n: int, r: float, variant: str = "remark") -> float:
         middle = n * math.log(math.log(n))
     else:
         raise ValueError(f"unknown variant: {variant!r}")
-    return (1.0 + 1.0 / r) ** n * (n * math.log(n) + middle + 5.0 * n)
+    with contextlib.suppress(OverflowError):
+        bound = (1.0 + 1.0 / r) ** n * (n * math.log(n) + middle + 5.0 * n)
+        if math.isfinite(bound):
+            return bound
+    raise ValueError(f"r is too small for n = {n}: the bound overflows a float")

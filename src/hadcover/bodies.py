@@ -10,6 +10,8 @@ p = 1) are handled in exact rational arithmetic; p > 1 requires floats.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -33,7 +35,8 @@ class BodySpec:
     scale=1 is the normalized body (defining sum bounded by n).  The
     scale must be exact (int or Fraction) for the polytopal families;
     a float scale is accepted only for p > 1, where membership is
-    decided numerically anyway.  p must be finite and >= 1.
+    decided numerically anyway and :attr:`bound` must be a finite
+    float.  p must be finite and >= 1.
     """
 
     family: str
@@ -56,11 +59,23 @@ class BodySpec:
             raise ValueError("polytopal bodies need an exact (rational) scale")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
+        # Kept last, as it returns early.  Polytopal bounds are exact.
+        with contextlib.suppress(OverflowError):
+            if self.is_polytopal or math.isfinite(self.bound):
+                return
+        raise ValueError("scale**p * n must be a finite float")
 
     @property
     def is_polytopal(self) -> bool:
         """True when membership is decidable in exact rational arithmetic."""
         return self.family in (SIMPLEX, CROSSPOLYTOPE) or self.p == 1
+
+    @functools.cached_property
+    def bound(self) -> Scale:
+        """scale**p * n, the bound on the defining sum; exact when polytopal."""
+        if self.is_polytopal:
+            return Fraction(self.scale) * self.n
+        return float(self.scale) ** self.p * self.n
 
     @property
     def nonnegative(self) -> bool:
@@ -101,10 +116,9 @@ def contains_exact(body: BodySpec, point: Sequence) -> bool:
         raise ValueError("exact membership needs a polytopal body (p = 1)")
     _check_dim(body, point)
     coords = [Fraction(c) for c in point]
-    bound = Fraction(body.scale) * body.n
     if body.nonnegative:
-        return all(c >= 0 for c in coords) and sum(coords) <= bound
-    return sum(abs(c) for c in coords) <= bound
+        return all(c >= 0 for c in coords) and sum(coords) <= body.bound
+    return sum(abs(c) for c in coords) <= body.bound
 
 
 def contains_float(body: BodySpec, point: Sequence[float], tol: float = 1e-9) -> bool:
@@ -123,7 +137,7 @@ def contains_float(body: BodySpec, point: Sequence[float], tol: float = 1e-9) ->
         raise ValueError("coordinates must be finite")
     if body.family == QUARTER_LP and any(c < -tol for c in coords):
         return False
-    limit = float(body.scale) ** body.p * body.n * (1.0 + tol)
+    limit = body.bound * (1.0 + tol)
     return sum(abs(c) ** body.p for c in coords) <= limit
 
 
@@ -144,7 +158,7 @@ def vertices(body: BodySpec) -> list[tuple]:
     if not body.is_polytopal:
         raise ValueError("curved bodies (p > 1) have no vertex list")
     n = body.n
-    r = Fraction(body.scale) * n
+    r = body.bound
     zero = Fraction(0)
     out = [tuple([zero] * n)] if body.nonnegative else []
     signs = (1,) if body.nonnegative else (1, -1)
@@ -186,7 +200,7 @@ def _shell_floor(total: Scale, n: int) -> Scale:
 def _sample_exact(body: BodySpec, rng: random.Random) -> tuple:
     n = body.n
     d = _SAMPLE_DENOMINATOR
-    bound = Fraction(body.scale) * n
+    bound = body.bound
     if rng.random() < _SHELL_BIAS:
         lo = _shell_floor(bound, n)
         target = lo + (bound - lo) * Fraction(rng.randint(1, d), d)
@@ -206,7 +220,7 @@ def _sample_exact(body: BodySpec, rng: random.Random) -> tuple:
 def _sample_float(body: BodySpec, rng: random.Random) -> tuple:
     n = body.n
     p = body.p
-    bound = float(body.scale) ** p * n  # bound on the p-th power sum
+    bound = body.bound
     if rng.random() < _SHELL_BIAS:
         lo = _shell_floor(bound, n)
         target = lo + (bound - lo) * rng.random()

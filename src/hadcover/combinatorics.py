@@ -16,7 +16,6 @@ point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 def binomial(n: int, k: int) -> int:
@@ -55,51 +54,17 @@ def m2_count_recurrence(n: int, k: int) -> int:
 
         m2(n, k) = m2(n-1, k) + 2 * sum_{j=0..k-1} m2(n-1, j)
 
-    which the table builder evaluates with running prefix sums.
+    evaluated over one rolling row of k+1 counts with a running prefix
+    sum.  Row 0 is the degenerate dimension-0 row (all ones: only the
+    empty vector).
     """
     _check_nk(n, k)
-    return CountTable.build("m2", n, k).entries[n][k]
-
-
-def power_of_two(n: int) -> int:
-    """2**n, exact."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return 1 << n
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Memoized (n_max+1) x (k_max+1) table of m1 or m2 counts.
-
-    Row 0 is the degenerate dimension-0 row (all ones: only the empty
-    vector).  Completed tables are immutable and safe to share.
-    """
-
-    kind: str
-    n_max: int
-    k_max: int
-    entries: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def build(cls, kind: str, n_max: int, k_max: int) -> "CountTable":
-        if kind not in ("m1", "m2"):
-            raise ValueError(f"unknown count kind: {kind!r}")
-        _check_nk(n_max, k_max)
-        rows = [[1] * (k_max + 1)]
-        for _ in range(1, n_max + 1):
-            prev = rows[-1]
-            row = [1]
-            if kind == "m1":
-                for k in range(1, k_max + 1):
-                    row.append(prev[k] + row[k - 1])
-            else:
-                acc = 0  # 2*acc collects the strictly shorter slices
-                for k in range(1, k_max + 1):
-                    acc += prev[k - 1]
-                    row.append(prev[k] + 2 * acc)
-            rows.append(row)
-        return cls(kind, n_max, k_max, tuple(tuple(r) for r in rows))
+    row = [1] * (k + 1)
+    for _ in range(n):
+        acc = 0  # sum of the previous row's entries left of j
+        for j in range(k + 1):
+            acc, row[j] = acc + row[j], row[j] + 2 * acc
+    return row[k]
 
 
 def _check_nk(n: int, k: int) -> None:

@@ -242,9 +242,12 @@ def t_sequence(n: int, p: float, k_max: int) -> TSequence:
     if p == 1:
         return TSequence(n, p, tuple(Fraction(n + j, n) for j in range(k_max + 1)))
     values = [1.0]
-    for _ in range(k_max):
-        rhs = n * values[-1] ** p
-        values.append(_next_scale(n, p, values[-1], rhs))
+    try:
+        for _ in range(k_max):
+            rhs = n * values[-1] ** p
+            values.append(_next_scale(n, p, values[-1], rhs))
+    except OverflowError:
+        raise ValueError("p is too large: the scale search overflows a float") from None
     return TSequence(n, p, tuple(values))
 
 

@@ -27,7 +27,6 @@ from hadcover.combinatorics import (
     m1_count,
     m2_count_closed,
     m2_count_recurrence,
-    power_of_two,
 )
 from hadcover.covering import (
     gamma_upper_bound,
@@ -76,8 +75,8 @@ def test_acceptance_2_count_identities(capsys):
     for n in range(1, 21):
         for k in range(1, n + 1):
             value = m2_count_closed(n, k)
-            ok = ok and power_of_two(k) * binomial(n, k) <= value
-            ok = ok and value <= power_of_two(k) * binomial(n + k, k)
+            ok = ok and (1 << k) * binomial(n, k) <= value
+            ok = ok and value <= (1 << k) * binomial(n + k, k)
     _verdict(capsys, "low-dimension laws, symmetry, and sandwich bounds", ok)
 
 

@@ -17,7 +17,7 @@ from hadcover.asymptotics import (
     rogers_zong_bound,
     solve_root,
 )
-from hadcover.combinatorics import binomial, m1_count, m2_count_closed, power_of_two
+from hadcover.combinatorics import binomial, m1_count, m2_count_closed
 
 
 def test_growth_functions_relations():
@@ -88,9 +88,9 @@ def test_k_of_n_simplex_examples():
 
 
 def test_k_of_n_simplex_definition():
-    for n in range(1, 41):
+    for n in [*range(1, 41), 1024, 4096]:
         k = k_of_n_simplex(n)
-        cap = power_of_two(n)
+        cap = 1 << n
         assert m1_count(n, k) <= cap
         assert m1_count(n, k + 1) > cap
 
@@ -104,7 +104,7 @@ def test_k_max_crosspolytope_examples():
 def test_k_max_crosspolytope_definition():
     for n in range(1, 31):
         k = k_max_crosspolytope(n)
-        cap = power_of_two(n)
+        cap = 1 << n
         assert m2_count_closed(n, k) <= cap
         assert m2_count_closed(n, k + 1) > cap
 
@@ -115,14 +115,14 @@ def test_k1_k2_examples():
 
 
 def test_k1_k2_definitions_and_sandwich():
-    for n in range(3, 65):
+    for n in [*range(1, 65), 1024]:
         k1, k2 = k1_k2_of_n(n)
-        cap = power_of_two(n)
-        assert power_of_two(k1) * binomial(n + k1, k1) <= cap
-        assert power_of_two(k1 + 1) * binomial(n + k1 + 1, k1 + 1) > cap
-        assert power_of_two(k2) * binomial(n, k2) <= cap
+        cap = 1 << n
+        assert (1 << k1) * binomial(n + k1, k1) <= cap
+        assert (1 << (k1 + 1)) * binomial(n + k1 + 1, k1 + 1) > cap
+        assert (1 << k2) * binomial(n, k2) <= cap
         if k2 < n:
-            assert power_of_two(k2 + 1) * binomial(n, k2 + 1) > cap
+            assert (1 << (k2 + 1)) * binomial(n, k2 + 1) > cap
         assert k1 <= k_max_crosspolytope(n) <= k2
 
 
@@ -200,3 +200,7 @@ def test_rogers_zong_validation():
         rogers_zong_bound(5, 1.0)
     with pytest.raises(ValueError):
         rogers_zong_bound(5, 0.5, "margin")
+    # 1/r overflows to inf at the smallest subnormal; the power overflows at n = 2000.
+    for n, r in ((10, 5e-324), (2000, 0.001)):
+        with pytest.raises(ValueError, match="^r is too small"):
+            rogers_zong_bound(n, r)

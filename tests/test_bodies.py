@@ -191,3 +191,19 @@ def test_body_spec_validation():
         BodySpec("nope", 2)
     with pytest.raises(ValueError):
         simplex(2, Fraction(-1))
+    # Curved bodies whose scale**p * n leaves the float range.
+    with pytest.raises(ValueError, match="finite"):
+        quarter_lp(2, 5000.0, 1.2)
+    for scale in (1e200, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            lp_ball(2, 2.0, scale)
+    # Polytopal bodies stay exact at any magnitude.
+    assert simplex(2, 10**400).bound == 2 * 10**400
+
+
+def test_bound_is_scale_power_times_n():
+    assert simplex(3, Fraction(5, 2)).bound == Fraction(15, 2)
+    assert lp_ball(4, 1.0, Fraction(1, 3)).bound == Fraction(4, 3)
+    assert quarter_lp(3, 2.5, 1.3).bound == 1.3 ** 2.5 * 3
+    body = lp_ball(2, 3.0, 2.0)
+    assert body.bound is body.bound == 16.0

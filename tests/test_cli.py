@@ -159,6 +159,7 @@ def test_domain_errors_exit_2(capsys):
         "gamma-bound --body simplex --n 5 --k 1 --p 2",
         "verify-cover --body lp --p 1 --n 2 --k 1 --samples 3 --tol nan",
         "rz-bound --n 2000 --r 0.001",
+        "rz-bound --n 10 --r 5e-324",
         "tnpk --n 3 --p 1e6 --k 2",
         "count --set m1 --n 0 --k 3",
         "verify-cover --body simplex --n 2 --k 1 --p nan --samples 5",
@@ -169,6 +170,18 @@ def test_domain_errors_exit_2(capsys):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_overflow_errors_name_the_argument(capsys):
+    for argv, err_want in (
+        ("rz-bound --n 10 --r 5e-324",
+         "error: r is too small for n = 10: the bound overflows a float\n"),
+        ("rz-bound --n 2000 --r 0.001",
+         "error: r is too small for n = 2000: the bound overflows a float\n"),
+        ("tnpk --n 3 --p 1e6 --k 2",
+         "error: p is too large: the scale search overflows a float\n"),
+    ):
+        assert run_cli(capsys, *argv.split()) == (2, "", err_want), argv
 
 
 def test_argparse_errors_exit_2(capsys):

@@ -1,13 +1,15 @@
 """Property tests of the CLI exit-code contract.
 
-Any argv exits 0 or 2, never with a traceback, and exit 2 prints one
-``error:`` line; exit 1 is left to a covering verification that really
-fails, which no valid input produces.
+Any argv exits 0 or 2, never with a traceback; exit 2 prints one
+``error:`` line, and exit 0 prints no ``inf`` or ``nan``.  Exit 1 is left
+to a covering verification that really fails, which no valid input
+produces.
 """
 
 import contextlib
 import io
 import math
+import re
 
 from hypothesis import given, settings, strategies as st
 
@@ -67,15 +69,34 @@ ANY_ARGV = st.one_of(
 )
 
 
-@SETTINGS
-@given(ANY_ARGV)
-def test_any_argv_exits_0_or_2(argv):
+def check_contract(argv):
     code, out, err = run(argv)
     assert code in (0, 2), (argv, out, err)
     assert "Traceback" not in err
     if code == 2:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err
+    else:
+        assert not re.search(r"\b(inf|nan)\b", out, re.I), (argv, out)
+
+
+@SETTINGS
+@given(ANY_ARGV)
+def test_any_argv_exits_0_or_2(argv):
+    check_contract(argv)
+
+
+# In-domain arguments of the commands with a float result, out to where
+# that result leaves the float range: it must stay finite or exit 2.
+@SETTINGS
+@given(st.one_of(
+    st.builds(_argv, st.just("rz-bound"), n=st.integers(3, 5000),
+              r=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    st.builds(_argv, st.just("tnpk"), n=st.integers(2, 40), p=st.floats(1.0, 1e308),
+              k=st.integers(0, 5)),
+))
+def test_float_results_are_finite_or_exit_2(argv):
+    check_contract(argv)
 
 
 @SETTINGS

@@ -153,6 +153,8 @@ def test_t_sequence_validation():
     for p in (math.nan, math.inf):
         with pytest.raises(ValueError):
             t_sequence(3, p, 3)
+    with pytest.raises(ValueError, match="^p is too large"):
+        t_sequence(3, 1e6, 2)
 
 
 def test_verify_covering_lp_passes():
