@@ -109,16 +109,17 @@ def lp_ball(n: int, p: float, scale: Scale = Fraction(1)) -> BodySpec:
 def contains_exact(body: BodySpec, point: Sequence) -> bool:
     """Exact membership test for polytopal bodies (boundary counts as inside).
 
-    Coordinates may be ints, Fractions, or anything Fraction accepts
-    exactly; the decision never rounds.
+    Coordinates must be ints or Fractions and are used as given; any
+    other type raises ValueError.  The decision never rounds.
     """
     if not body.is_polytopal:
         raise ValueError("exact membership needs a polytopal body (p = 1)")
     _check_dim(body, point)
-    coords = [Fraction(c) for c in point]
+    if not all(isinstance(c, (int, Fraction)) for c in point):
+        raise ValueError("exact coordinates must be int or Fraction")
     if body.nonnegative:
-        return all(c >= 0 for c in coords) and sum(coords) <= body.bound
-    return sum(abs(c) for c in coords) <= body.bound
+        return all(c >= 0 for c in point) and sum(point) <= body.bound
+    return sum(abs(c) for c in point) <= body.bound
 
 
 def contains_float(body: BodySpec, point: Sequence[float], tol: float = 1e-9) -> bool:
@@ -150,7 +151,7 @@ def check_tol(tol: float) -> None:
 
 
 def vertices(body: BodySpec) -> list[tuple]:
-    """Vertex list of a polytopal body, as exact rational points.
+    """Vertex list of a polytopal body, as exact points (ints where integral).
 
     Simplex-like bodies: the origin plus (scale*n) e_i.  Cross-polytope
     bodies: +-(scale*n) e_i.  Curved bodies (p > 1) have no vertex list.
@@ -159,12 +160,12 @@ def vertices(body: BodySpec) -> list[tuple]:
         raise ValueError("curved bodies (p > 1) have no vertex list")
     n = body.n
     r = body.bound
-    zero = Fraction(0)
-    out = [tuple([zero] * n)] if body.nonnegative else []
+    r = r.numerator if r.denominator == 1 else r
+    out = [(0,) * n] if body.nonnegative else []
     signs = (1,) if body.nonnegative else (1, -1)
     for i in range(n):
         for sign in signs:
-            v = [zero] * n
+            v = [0] * n
             v[i] = sign * r
             out.append(tuple(v))
     return out
@@ -207,7 +208,7 @@ def _sample_exact(body: BodySpec, rng: random.Random) -> tuple:
     else:
         target = bound * Fraction(rng.randint(0, d), d)
     while True:
-        weights = [Fraction(rng.randint(0, d), d) for _ in range(n)]
+        weights = [rng.randint(0, d) for _ in range(n)]
         total = sum(weights)
         if total > 0:
             break

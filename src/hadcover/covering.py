@@ -111,13 +111,12 @@ def _decompose(scaled: BodySpec, y: Sequence) -> WitnessDecomposition:
     and leaves the residual inside the normalized body.  Each z_i takes
     the sign of y_i.
     """
-    coords = [Fraction(c) for c in y]
-    if not bodies.contains_exact(scaled, coords):
+    if not bodies.contains_exact(scaled, y):
         raise ValueError(f"point lies outside the scaled {scaled.family}")
-    needed = max(0, math.ceil(sum(abs(c) for c in coords)) - scaled.n)
+    needed = max(0, math.ceil(sum(abs(c) for c in y)) - scaled.n)
     z = []
     remaining = needed
-    for c in coords:
+    for c in y:
         take = min(math.floor(abs(c)), remaining)
         z.append(take if c >= 0 else -take)
         remaining -= take
@@ -125,7 +124,7 @@ def _decompose(scaled: BodySpec, y: Sequence) -> WitnessDecomposition:
         # The shell argument guarantees enough integer mass; reaching
         # here means the decomposition itself is broken.
         raise AssertionError("floor sum below required budget")
-    residual = tuple(c - w for c, w in zip(coords, z))
+    residual = tuple(c - w for c, w in zip(y, z))
     return WitnessDecomposition(tuple(z), residual, needed)
 
 
@@ -255,9 +254,8 @@ def _next_scale(n: int, p: float, t_prev: float, rhs: float) -> float:
     def g(t: float) -> float:
         return (t - 1.0) ** p + (n - 1) * t**p - rhs
 
+    # g(t_prev + 1) = (n - 1)((t_prev + 1)^p - t_prev^p) > 0: the root lies below.
     lo, hi = t_prev, t_prev + 1.0
-    while g(hi) < 0:  # g is increasing; widen until it straddles zero
-        lo, hi = hi, hi + 1.0
     while hi - lo > _BISECT_TOL:
         mid = (lo + hi) / 2.0
         if g(mid) < 0:

@@ -46,6 +46,29 @@ def box_points_m2(n, k):
     return sorted(t for t in product(box, repeat=n) if sum(map(abs, t)) <= k)
 
 
+def box_escaping_vertices(family, n, k, limit):
+    """Count translate-vertex sums z + v outside the body of defining sum limit.
+
+    Translates z are the box-scanned M1 (simplex) or M2 (cross-polytope)
+    points; vertices v are the normalized body's +-n e_i, plus the origin
+    for the simplex.
+    """
+    units = [tuple(n if j == i else 0 for j in range(n)) for i in range(n)]
+    if family == "simplex":
+        translates = box_points_m1(n, k)
+        verts = [(0,) * n] + units
+    else:
+        translates = box_points_m2(n, k)
+        verts = units + [tuple(-c for c in u) for u in units]
+    escaping = 0
+    for z in translates:
+        for v in verts:
+            x = [a + b for a, b in zip(z, v)]
+            if sum(map(abs, x)) > limit or (family == "simplex" and min(x) < 0):
+                escaping += 1
+    return escaping
+
+
 def recursive_count_m1(n, k):
     """Same set as box_count_m1 counted by budget recursion.
 

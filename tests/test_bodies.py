@@ -65,6 +65,14 @@ def test_contains_float_rejects_nonfinite():
             contains_float(body, (0.0, 0.0), tol=tol)
 
 
+def test_contains_exact_rejects_inexact_coordinates():
+    for point in ((0.5, 0.5), ("1/2", 0)):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            contains_exact(simplex(2), point)
+        with pytest.raises(ValueError, match="int or Fraction"):
+            contains_exact(cross_polytope(2), point)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         contains_exact(simplex(2), (Fraction(1),))
@@ -81,6 +89,10 @@ def test_vertices_simplex():
     scaled = vertices(simplex(3, Fraction(4, 3)))
     assert (Fraction(4), Fraction(0), Fraction(0)) in scaled
     assert scaled[0] == (Fraction(0),) * 3
+    for body in (simplex(2), simplex(3, Fraction(4, 3))):
+        assert all(type(c) is int for v in vertices(body) for c in v)
+    thin = vertices(simplex(2, Fraction(1, 3)))[1]
+    assert thin == (Fraction(2, 3), 0) and type(thin[0]) is Fraction
 
 
 def test_vertices_crosspolytope():
@@ -91,6 +103,7 @@ def test_vertices_crosspolytope():
         (Fraction(0), Fraction(2)),
         (Fraction(0), Fraction(-2)),
     }
+    assert all(type(c) is int for v in got for c in v)
 
 
 def test_vertices_only_for_polytopes():
@@ -142,6 +155,11 @@ def test_sampling_is_deterministic():
     body = cross_polytope(3, Fraction(3, 2))
     assert sample_boundary(body, 20, 42) == sample_boundary(body, 20, 42)
     assert sample_boundary(body, 20, 42) != sample_boundary(body, 20, 43)
+    assert sample_boundary(body, 2, 42) == [
+        (Fraction(7977873, 6087500), Fraction(3551623, 3043750),
+         Fraction(-12949437, 12175000)),
+        (Fraction(5361, 1375), Fraction(23231, 79200), Fraction(-109007, 396000)),
+    ]
 
 
 def test_samples_stay_inside_exact_bodies():

@@ -11,7 +11,7 @@ from hadcover.covering import (
     verify_covering_exact,
     verify_covering_lp,
 )
-from hadcover import bodies, lattice_sets
+from hadcover import bodies, covering, lattice_sets
 from hadcover.lattice_sets import LatticeSetSpec
 import oracles
 
@@ -54,6 +54,13 @@ def test_decompose_rejects_outside_points():
         decompose_simplex(2, 1, (Fraction(2), Fraction(2)))
     with pytest.raises(ValueError):
         decompose_crosspolytope(2, 1, (Fraction(-3), Fraction(1)))
+
+
+def test_decompose_rejects_inexact_coordinates():
+    for decompose in (decompose_simplex, decompose_crosspolytope):
+        for point in ((0.5, 0.5), ("1/2", 0)):
+            with pytest.raises(ValueError, match="int or Fraction"):
+                decompose(2, 1, point)
 
 
 def test_witnesses_are_sound_on_random_samples():
@@ -99,6 +106,23 @@ def test_verify_covering_exact_broken_witness_fails(broken_witnesses):
     assert report.witness_failures > 0
 
 
+def test_translate_sweep_counts_escaping_vertices(monkeypatch):
+    # One step below the covering scale, translate vertices of the top
+    # shell leave the body while every witness still holds.
+    def short(base, k):
+        return base.rescaled(Fraction(base.n + k - 1, base.n))
+
+    monkeypatch.setattr(covering, "_inflated", short)
+    cases = (("simplex", 3, 2, 18), ("crosspolytope", 2, 1, 12),
+             ("crosspolytope", 3, 2, 78), ("simplex", 2, 1, 4))
+    for family, n, k, expected in cases:
+        report = verify_covering_exact(family, n, k, samples=30, seed=1)
+        assert report.witness_failures == 0
+        assert report.translate_failures == expected
+        assert oracles.box_escaping_vertices(family, n, k, n + k - 1) == expected
+        assert not report.ok
+
+
 def test_report_serialization():
     report = verify_covering_exact("simplex", 2, 1, samples=20, seed=8)
     data = report.to_dict()
@@ -134,7 +158,7 @@ def test_t_sequence_floor_and_step_bounds():
 
 def test_t_sequence_recurrence_residual_small():
     for n in (2, 4):
-        for p in (1.5, 2.0, 3.0):
+        for p in (1.5, 2.0, 3.0, 1100.0):
             ts = t_sequence(n, p, 10)
             for k in range(10):
                 t_next = ts.values[k + 1]
