@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .bodies import BodySpec
-from .combinatorics import binomial, m1_count, m2_count_closed
+from .combinatorics import m1_count, m2_count_closed
 
 DEFAULT_TOL = 1e-12
 
@@ -187,10 +187,12 @@ def k1_k2_of_n(n: int) -> tuple[int, int]:
     # 2^k C(n+k, k) grows by the factor 2(n+k+1)/(k+1) > 1 at each step.
     k1 = _largest_k(lambda k: (1 << k) * m1_count(n, k), target)
     # 2^k C(n, k) falls again past k ~ 2n/3 and equals 2^n at k = n, so it
-    # is not monotone and _largest_k does not apply: scan up from k = 0.
-    k2 = 0
-    while k2 + 1 <= n and (1 << (k2 + 1)) * binomial(n, k2 + 1) <= target:
+    # is not monotone and _largest_k does not apply: scan up from k = 0,
+    # carrying the next term 2^(k2+1) C(n, k2+1) by the ratio 2(n-k)/(k+1).
+    k2, term = 0, 2 * n
+    while k2 + 1 <= n and term <= target:
         k2 += 1
+        term = term * 2 * (n - k2) // (k2 + 1)
     return k1, k2
 
 

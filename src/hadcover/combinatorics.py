@@ -5,8 +5,11 @@ Two families of translation sets drive every covering construction here:
 * ``M1(n, k)``: nonnegative integer vectors of length ``n`` whose
   coordinate sum is at most ``k``.  There are ``C(n+k, n)`` of them.
 * ``M2(n, k)``: integer vectors of length ``n`` whose l1 norm is at most
-  ``k``.  Their number is the Delannoy-type count
-  ``sum_j C(n, j) * C(k+j, n)``.
+  ``k``.  Their number is the Delannoy number
+  ``D(n, k) = sum_i 2^i * C(n, i) * C(k, i)`` (OEIS A008288): choose the
+  ``i`` nonzero coordinates, their signs, and their absolute values as
+  a composition of at most ``k`` into ``i`` positive parts.  The sum is
+  run with one term updated by the ratio ``2(n-i)(k-i) / (i+1)^2``.
 
 All counts are plain Python integers, so arithmetic is exact at any
 magnitude; threshold searches against ``2**n`` never touch floating
@@ -40,11 +43,18 @@ def m1_count(n: int, k: int) -> int:
 def m2_count_closed(n: int, k: int) -> int:
     """Number of integer vectors of length n with l1 norm <= k, closed form.
 
-    Computes ``sum_{j=0..n} C(n, j) * C(k+j, n)``; terms with k+j < n
-    vanish under the out-of-range convention of :func:`binomial`.
+    Computes the Delannoy sum ``sum_{i=0..min(n,k)} 2^i C(n, i) C(k, i)``
+    (OEIS A008288).  Each term comes from the previous one by the ratio
+    ``2(n-i)(k-i) / (i+1)^2``; the division is exact because the result
+    is the next term, an integer.  That is O(min(n, k)) integer steps
+    and no fresh binomial.
     """
     _check_nk(n, k)
-    return sum(binomial(n, j) * binomial(k + j, n) for j in range(n + 1))
+    total = term = 1
+    for i in range(min(n, k)):
+        term = term * 2 * (n - i) * (k - i) // ((i + 1) * (i + 1))
+        total += term
+    return total
 
 
 def m2_count_recurrence(n: int, k: int) -> int:

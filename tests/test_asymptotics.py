@@ -17,7 +17,7 @@ from hadcover.asymptotics import (
     rogers_zong_bound,
     solve_root,
 )
-from hadcover.combinatorics import binomial, m1_count, m2_count_closed
+from hadcover.combinatorics import binomial, m1_count, m2_count_closed, m2_count_recurrence
 
 
 def test_growth_functions_relations():
@@ -102,11 +102,17 @@ def test_k_max_crosspolytope_examples():
 
 
 def test_k_max_crosspolytope_definition():
-    for n in range(1, 31):
+    for n in [*range(1, 31), 1024, 2048, 4096]:
         k = k_max_crosspolytope(n)
         cap = 1 << n
         assert m2_count_closed(n, k) <= cap
         assert m2_count_closed(n, k + 1) > cap
+
+
+def test_k_max_crosspolytope_bracket_by_recurrence():
+    # The slice recurrence is independent of the Delannoy sum the search uses.
+    n, k = 1024, k_max_crosspolytope(1024)
+    assert m2_count_recurrence(n, k) <= 1 << n < m2_count_recurrence(n, k + 1)
 
 
 def test_k1_k2_examples():
@@ -115,7 +121,7 @@ def test_k1_k2_examples():
 
 
 def test_k1_k2_definitions_and_sandwich():
-    for n in [*range(1, 65), 1024]:
+    for n in [*range(1, 65), 1024, 4096]:
         k1, k2 = k1_k2_of_n(n)
         cap = 1 << n
         assert (1 << k1) * binomial(n + k1, k1) <= cap

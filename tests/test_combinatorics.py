@@ -75,6 +75,23 @@ def test_m2_closed_equals_recurrence_equals_enumeration():
             assert m2_count_recurrence(n, k) == expected
 
 
+def test_m2_delannoy_sum_equals_recurrence():
+    # Two routes that share no code, over both degenerate edges (n = 0,
+    # k = 0) and both sides of the diagonal (k > n and n > k).
+    for n in range(40):
+        for k in range(40):
+            assert m2_count_closed(n, k) == m2_count_recurrence(n, k)
+
+
+def test_counts_pass_the_volume_test():
+    # count translates of (n/(n+k))K can cover K only if
+    # count * (n/(n+k))^n >= 1, that is count * n^n >= (n+k)^n.
+    for n in range(1, 60):
+        for k in range(60):
+            for count in (m1_count(n, k), m2_count_closed(n, k)):
+                assert count * n**n >= (n + k) ** n
+
+
 def test_recursive_oracle_agrees_with_box_scan():
     # validates the pruned counter against the raw box filter
     for n in range(1, 5):
