@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 from .bodies import BodySpec
 from .combinatorics import m1_count, m2_count_closed
 
+# Bracket width and residual at which every bisection of the package stops.
 DEFAULT_TOL = 1e-12
 
 
@@ -65,21 +66,14 @@ def m2_lower_growth_printed(c: float) -> float:
     return 2.0**c / (c**c * (1.0 + c) ** (1.0 + c))
 
 
-def solve_root(
-    f: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    tol: float = DEFAULT_TOL,
-) -> float:
+def solve_root(f: Callable[[float], float], target: float, lo: float, hi: float) -> float:
     """Bisection root of f(x) = target for monotone f on [lo, hi].
 
     Runs until both the bracket width and the residual |f(x) - target|
-    drop below tol (or the bracket becomes unsplittable in floats, which
-    for the smooth monotone functions used here implies full precision).
+    drop below DEFAULT_TOL (or the bracket becomes unsplittable in
+    floats, which for the smooth monotone functions used here implies
+    full precision).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     f_lo, f_hi = f(lo) - target, f(hi) - target
     if f_lo == 0:
         return lo
@@ -99,15 +93,15 @@ def solve_root(
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol and abs(val) <= tol:
+        if hi - lo <= DEFAULT_TOL and abs(val) <= DEFAULT_TOL:
             return mid
     mid = (lo + hi) / 2.0
-    if abs(f(mid) - target) > tol:
-        raise ValueError("bisection stalled above the requested tolerance")
+    if abs(f(mid) - target) > DEFAULT_TOL:
+        raise ValueError("bisection stalled above the tolerance")
     return mid
 
 
-def growth_constants(tol: float = DEFAULT_TOL) -> GrowthConstants:
+def growth_constants() -> GrowthConstants:
     """Solve the three growth-rate equations (each set equal to 2).
 
     c4 uses the binomial-entropy growth rate of 2^(cn) C(n, cn); the
@@ -115,10 +109,10 @@ def growth_constants(tol: float = DEFAULT_TOL) -> GrowthConstants:
     :func:`printed_variant_max`.
     """
     eps = 1e-6
-    c1 = solve_root(m1_growth, 2.0, eps, 1.0 - eps, tol)
-    c3 = solve_root(m2_upper_growth, 2.0, eps, 1.0 - eps, tol)
+    c1 = solve_root(m1_growth, 2.0, eps, 1.0 - eps)
+    c3 = solve_root(m2_upper_growth, 2.0, eps, 1.0 - eps)
     # m2_lower_growth is increasing only while c < 2/3; cap the bracket there.
-    c4 = solve_root(m2_lower_growth, 2.0, eps, 2.0 / 3.0, tol)
+    c4 = solve_root(m2_lower_growth, 2.0, eps, 2.0 / 3.0)
     return GrowthConstants(c1, c3, c4)
 
 
@@ -132,7 +126,7 @@ def printed_variant_max() -> tuple[float, float]:
     return c_star, m2_lower_growth_printed(c_star)
 
 
-def a_of_t(t: float, tol: float = DEFAULT_TOL) -> float:
+def a_of_t(t: float) -> float:
     """The positive root x of (1+x)^(1+x) / x^x = t, for t > 1.
 
     Generalizes c1 (which is a_of_t(2)) to translate budgets t^n.
@@ -145,7 +139,7 @@ def a_of_t(t: float, tol: float = DEFAULT_TOL) -> float:
     hi = 1.0
     while m1_growth(hi) <= t:
         hi *= 2.0
-    return solve_root(m1_growth, t, lo, hi, tol)
+    return solve_root(m1_growth, t, lo, hi)
 
 
 def k_of_n_simplex(n: int) -> int:

@@ -27,6 +27,9 @@ FAMILIES = (SIMPLEX, CROSSPOLYTOPE, QUARTER_LP, LP)
 
 Scale = Union[int, Fraction, float]
 
+# Relative slack of the float membership test; see contains_float.
+TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class BodySpec:
@@ -122,32 +125,22 @@ def contains_exact(body: BodySpec, point: Sequence) -> bool:
     return sum(abs(c) for c in point) <= body.bound
 
 
-def contains_float(body: BodySpec, point: Sequence[float], tol: float = 1e-9) -> bool:
+def contains_float(body: BodySpec, point: Sequence[float]) -> bool:
     """Tolerant membership test for the l_p families.
 
-    Accepts the point when sum |x_i|^p <= scale^p * n * (1 + tol), and
-    for the quarter ball additionally requires every x_i >= -tol.
-    tol must be finite and positive.
+    Accepts the point when sum |x_i|^p <= scale^p * n * (1 + TOL), and
+    for the quarter ball additionally requires every x_i >= -TOL.
     """
     if body.family not in (QUARTER_LP, LP):
         raise ValueError("float membership is for the l_p families")
-    check_tol(tol)
     _check_dim(body, point)
     coords = [float(c) for c in point]
     if any(not math.isfinite(c) for c in coords):
         raise ValueError("coordinates must be finite")
-    if body.family == QUARTER_LP and any(c < -tol for c in coords):
+    if body.family == QUARTER_LP and any(c < -TOL for c in coords):
         return False
-    limit = body.bound * (1.0 + tol)
+    limit = body.bound * (1.0 + TOL)
     return sum(abs(c) ** body.p for c in coords) <= limit
-
-
-def check_tol(tol: float) -> None:
-    """Reject a float membership tolerance that is not finite and positive."""
-    if not math.isfinite(tol):
-        raise ValueError("tol must be finite")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
 
 def vertices(body: BodySpec) -> list[tuple]:

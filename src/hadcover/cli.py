@@ -66,7 +66,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify_cover(args) -> int:
     p = _DEFAULT_P.get(args.body, 1.0) if args.p is None else args.p
     report = covering.verify_covering_lp(args.body, args.n, p, args.k, args.samples,
-                                         args.seed, args.tol)
+                                         args.seed)
     d = report.to_dict()
     lines = [f"{key} = {_scalar(value)}" for key, value in d.items() if key != "ok"]
     _render(args.format, d, lines=lines + ["ok" if report.ok else "FAILED"])
@@ -165,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-9)
 
     p = add("gamma-bound", _cmd_gamma_bound, "covering-functional upper bound",
             "--body", "--n", "--k")

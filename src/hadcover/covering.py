@@ -5,7 +5,8 @@ the normalized body.  For the polytopal families the witness is exact:
 every point y splits as y = z + r with z in the translation set and r
 back in the normalized body.  For p > 1 a peeling argument moves y into
 the normalized body one unit step at a time, certified by the scale
-sequence t_{n,p,k}.
+sequence t_{n,p,k}.  Float membership uses the fixed relative slack
+``bodies.TOL``, and the scale bisection stops at ``asymptotics.DEFAULT_TOL``.
 """
 
 from __future__ import annotations
@@ -14,13 +15,11 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
-from . import bodies, lattice_sets
+from . import asymptotics, bodies, lattice_sets
 from .bodies import BodySpec, CROSSPOLYTOPE, LP, SIMPLEX
 from .lattice_sets import LatticeSetSpec
-
-_BISECT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,15 @@ def _translation_set(body: BodySpec, k: int) -> LatticeSetSpec:
 
 
 def _inflated(base: BodySpec, k: int) -> BodySpec:
-    """base scaled by ((n+k)/n)^(1/p), the body its k-th lattice covering covers."""
+    """base scaled by ((n+k)/n)^(1/p), the body its k-th lattice covering covers.
+
+    A float scale is off by about an ulp, 2^-53 relative, which moves
+    scale^p by about p * 2^-53.  Past bodies.TOL that error outgrows the
+    membership slack, so such a p is refused.
+    """
+    if not base.is_polytopal and base.p * 2.0**-53 > bodies.TOL:
+        raise ValueError(f"p = {base.p!r} is too large to verify: the float "
+                         f"scale**p is not resolved within {bodies.TOL!r}")
     return base.rescaled(base.pth_root(base.n + k, base.n))
 
 
@@ -157,16 +164,14 @@ def verify_covering_exact(
     return _verify(BodySpec(family, n), k, samples, seed)
 
 
-def _verify(
-    base: BodySpec, k: int, samples: int, seed: int, tol: Optional[float] = None
-) -> CoveringReport:
+def _verify(base: BodySpec, k: int, samples: int, seed: int) -> CoveringReport:
     """The verification loop behind both public verifiers.
 
     Samples come from the inflated base body.  Every witness of a sample
     y is re-checked from scratch: z in the translation set and y - z in
-    the base body (within tol for curved bodies).  Polytopal bodies then
-    get the exhaustive translate sweep.  Module functions are looked up
-    at call time, so wrappers see them.
+    the base body (within bodies.TOL for curved bodies).  Polytopal
+    bodies then get the exhaustive translate sweep.  Module functions
+    are looked up at call time, so wrappers see them.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -180,8 +185,8 @@ def _verify(
         decompose = decompose_simplex if base.nonnegative else decompose_crosspolytope
         inside = bodies.contains_exact
     else:
-        decompose = functools.partial(_peel, base, tol=tol)
-        inside = functools.partial(bodies.contains_float, tol=tol)
+        decompose = functools.partial(_peel, base)
+        inside = bodies.contains_float
 
     for y in bodies.sample_boundary(scaled, samples, seed):
         witness = decompose(n, k, y)
@@ -204,9 +209,7 @@ def _verify(
     return report
 
 
-def _peel(
-    base: BodySpec, n: int, k: int, y: Sequence[float], tol: float
-) -> WitnessDecomposition:
+def _peel(base: BodySpec, n: int, k: int, y: Sequence[float]) -> WitnessDecomposition:
     """Peel y into the curved base body with at most k unit moves.
 
     Each move shifts the largest-magnitude coordinate one unit toward
@@ -217,7 +220,7 @@ def _peel(
     x = list(y)
     z = [0] * n
     moves = 0
-    while moves < k and not bodies.contains_float(base, x, tol):
+    while moves < k and not bodies.contains_float(base, x):
         i = max(range(n), key=lambda j: abs(x[j]))
         step = 1 if x[i] >= 0 else -1
         x[i] -= step
@@ -256,7 +259,7 @@ def _next_scale(n: int, p: float, t_prev: float, rhs: float) -> float:
 
     # g(t_prev + 1) = (n - 1)((t_prev + 1)^p - t_prev^p) > 0: the root lies below.
     lo, hi = t_prev, t_prev + 1.0
-    while hi - lo > _BISECT_TOL:
+    while hi - lo > asymptotics.DEFAULT_TOL:
         mid = (lo + hi) / 2.0
         if g(mid) < 0:
             lo = mid
@@ -272,7 +275,6 @@ def verify_covering_lp(
     k: int,
     samples: int = 500,
     seed: int = 42,
-    tol: float = 1e-9,
 ) -> CoveringReport:
     """Peeling verification of the one-sided l_p covering inclusion.
 
@@ -283,14 +285,15 @@ def verify_covering_lp(
     Only this inclusion is claimed for p > 1, so translates are not
     required to stay inside the scaled body.  Every family is accepted:
     simplex and crosspolytope are the p = 1 cases of qlp and lp, and
-    p = 1 inputs route to the exact verifier.
+    p = 1 inputs route to the exact verifier.  p > 1 is refused where
+    p * 2^-53 > bodies.TOL, about 9.0e6, as the float scale cannot be
+    resolved there.
     """
     base = BodySpec(family, n, p)
-    bodies.check_tol(tol)
     if base.is_polytopal:
         exact = SIMPLEX if base.nonnegative else CROSSPOLYTOPE
         return verify_covering_exact(exact, n, k, samples, seed)
-    return _verify(base, k, samples, seed, tol)
+    return _verify(base, k, samples, seed)
 
 
 def gamma_upper_bound(family: str, n: int, p: float, k: int) -> GammaBound:

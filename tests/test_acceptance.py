@@ -103,9 +103,7 @@ def test_acceptance_4_lp_covering(capsys):
         for n in (2, 3, 5):
             for k in range(4):
                 for family in ("qlp", "lp"):
-                    report = verify_covering_lp(
-                        family, n, p, k, samples=500, seed=42, tol=1e-9
-                    )
+                    report = verify_covering_lp(family, n, p, k, samples=500, seed=42)
                     ok = ok and report.ok
             ts = t_sequence(n, p, 20)
             for k, t in enumerate(ts.values):

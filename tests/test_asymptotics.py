@@ -31,11 +31,11 @@ def test_growth_functions_relations():
 
 
 def test_solve_root_basics():
-    assert solve_root(lambda x: x, 0.5, 0.0, 1.0, 1e-12) == pytest.approx(0.5, abs=1e-12)
-    got = solve_root(lambda x: -x, -0.25, 0.0, 1.0, 1e-12)
+    assert solve_root(lambda x: x, 0.5, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
+    got = solve_root(lambda x: -x, -0.25, 0.0, 1.0)
     assert got == pytest.approx(0.25, abs=1e-12)
     with pytest.raises(ValueError):
-        solve_root(lambda x: x, 5.0, 0.0, 1.0, 1e-12)
+        solve_root(lambda x: x, 5.0, 0.0, 1.0)
 
 
 def test_growth_constants_digits():

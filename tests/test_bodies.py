@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hadcover.bodies import (
+    TOL,
     BodySpec,
     contains_exact,
     contains_float,
@@ -51,7 +52,14 @@ def test_contains_float_boundary_tolerance():
     body = lp_ball(2, 2.0)
     r = math.sqrt(2.0)
     assert contains_float(body, (r, 0.0))
-    assert not contains_float(body, (r + 1e-6, 0.0), tol=1e-9)
+    assert not contains_float(body, (r + 1e-6, 0.0))
+    # The slack is the constant TOL: power sum bound * (1 + TOL/2) is in,
+    # bound * (1 + 2 TOL) is out; likewise -TOL/2 and -2 TOL for the
+    # quarter ball's sign check.
+    assert contains_float(body, (math.sqrt(2.0 * (1 + TOL / 2)), 0.0))
+    assert not contains_float(body, (math.sqrt(2.0 * (1 + 2 * TOL)), 0.0))
+    assert contains_float(quarter_lp(2, 2.0), (-TOL / 2, 1.0))
+    assert not contains_float(quarter_lp(2, 2.0), (-2 * TOL, 1.0))
 
 
 def test_contains_float_rejects_nonfinite():
@@ -60,9 +68,6 @@ def test_contains_float_rejects_nonfinite():
         contains_float(body, (math.nan, 0.0))
     with pytest.raises(ValueError):
         contains_float(body, (math.inf, 0.0))
-    for tol in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            contains_float(body, (0.0, 0.0), tol=tol)
 
 
 def test_contains_exact_rejects_inexact_coordinates():
@@ -174,7 +179,7 @@ def test_samples_stay_inside_float_bodies():
     for body in (quarter_lp(3, 2.0, 1.2), lp_ball(2, 1.5, 1.1),
                  lp_ball(2, 1100.0), quarter_lp(2, 5000.0)):
         for point in sample_boundary(body, 200, 9):
-            assert contains_float(body, point, tol=1e-9)
+            assert contains_float(body, point)
 
 
 def test_single_sample_lands_in_outer_shell():

@@ -116,6 +116,10 @@ def test_verify_cover_ok(capsys):
                            "--k", "1", "--p", "5000", "--samples", "50")
     assert code == 0
     assert out.rstrip().endswith("ok")
+    code, out, _ = run_cli(capsys, "verify-cover", "--body", "lp", "--n", "3",
+                           "--k", "3", "--p", "1e6", "--samples", "50")
+    assert code == 0
+    assert out.rstrip().endswith("ok")
 
 
 def test_verify_cover_json(capsys):
@@ -149,22 +153,19 @@ def test_domain_errors_exit_2(capsys):
         "rz-bound --n 2 --r 0.5",
         "verify-cover --body lp --n 2 --k 1 --p nan --samples 5",
         "verify-cover --body qlp --n 2 --k 1 --p inf --samples 5",
-        "verify-cover --body lp --n 2 --k 1 --p 2 --tol nan --samples 5",
-        "verify-cover --body qlp --n 2 --k 0 --p 2 --tol inf --samples 5",
         "gamma-bound --body lp --n 2 --k 1 --p nan",
         "tnpk --n 2 --p nan --k 2",
         "tnpk --n 2 --p inf --k 2",
         "converge --body lp --n-list 5 --p nan",
         "converge --body simplex --n-list 5 --p 2",
         "gamma-bound --body simplex --n 5 --k 1 --p 2",
-        "verify-cover --body lp --p 1 --n 2 --k 1 --samples 3 --tol nan",
         "rz-bound --n 2000 --r 0.001",
         "rz-bound --n 10 --r 5e-324",
         "tnpk --n 3 --p 1e6 --k 2",
         "count --set m1 --n 0 --k 3",
         "verify-cover --body simplex --n 2 --k 1 --p nan --samples 5",
         "verify-cover --body crosspolytope --n 2 --k 1 --p 7 --samples 5",
-        "verify-cover --body simplex --n 2 --k 1 --tol nan --samples 5",
+        "verify-cover --body lp --n 3 --k 3 --p 1e16 --samples 50",
     ):
         code, out, err = run_cli(capsys, *argv.split())
         assert code == 2, argv
@@ -196,6 +197,11 @@ def test_argparse_errors_exit_2(capsys):
               "--inject-corrupt-witness"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --inject-corrupt-witness" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-cover", "--body", "lp", "--n", "2", "--k", "1", "--p", "2",
+              "--tol", "nan", "--samples", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol nan" in capsys.readouterr().err
 
 
 def test_parser_is_built_once(capsys):

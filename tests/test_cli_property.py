@@ -13,7 +13,7 @@ import re
 
 from hypothesis import given, settings, strategies as st
 
-from hadcover.bodies import FAMILIES
+from hadcover.bodies import FAMILIES, TOL
 from hadcover.cli import FORMATS, main
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
@@ -56,7 +56,7 @@ ANY_ARGV = st.one_of(
               format=fmt),
     st.builds(_argv, st.just("verify-cover"), body=body, n=small_n, k=small_k,
               p=_optional(floats), samples=_optional(st.integers(-1, 20)),
-              seed=_optional(st.integers()), tol=_optional(floats), format=fmt),
+              seed=_optional(st.integers()), format=fmt),
     st.builds(_argv, st.just("gamma-bound"), body=body, n=ints, k=ints,
               p=_optional(floats), format=fmt),
     st.builds(_argv, st.just("tnpk"), n=ints, p=floats, k=ints, format=fmt),
@@ -99,11 +99,28 @@ def test_float_results_are_finite_or_exit_2(argv):
     check_contract(argv)
 
 
+# Float verification resolves the inflation scale up to p * 2^-53 = TOL;
+# the two tests below split [1, 1e308] at that p.
+P_MAX = TOL * 2.0**53
+
+
+def _verify_argv(p):
+    return st.builds(_argv, st.just("verify-cover"), body=st.sampled_from(("qlp", "lp")),
+                     n=st.integers(1, 5), k=st.integers(0, 3), p=p,
+                     samples=st.integers(1, 20))
+
+
 @SETTINGS
-@given(st.builds(_argv, st.just("verify-cover"), body=st.sampled_from(("qlp", "lp")),
-                 n=st.integers(1, 5), k=st.integers(0, 3),
-                 p=st.floats(1.0, 1e308), samples=st.integers(1, 20)))
+@given(_verify_argv(st.floats(1.0, P_MAX)))
 def test_valid_verify_cover_exits_0_ok(argv):
     code, out, err = run(argv)
     assert (code, err) == (0, ""), (argv, out, err)
     assert out.rstrip().endswith("ok")
+
+
+@SETTINGS
+@given(_verify_argv(st.floats(P_MAX, 1e308, exclude_min=True)))
+def test_verify_cover_past_the_scale_bound_exits_2(argv):
+    code, out, err = run(argv)
+    assert (code, out) == (2, ""), (argv, out, err)
+    assert err.startswith("error: p = ") and err.count("\n") == 1, err

@@ -228,13 +228,26 @@ def test_verify_covering_lp_validation():
         verify_covering_lp("simplex", 2, 2.0, 1)
     with pytest.raises(ValueError):
         verify_covering_lp("lp", 2, 0.5, 1)
-    with pytest.raises(ValueError):
-        verify_covering_lp("lp", 2, 1.0, 1, samples=3, tol=math.nan)
     with pytest.raises(ValueError) as lp_error:
         verify_covering_lp("lp", 0, 2.0, 1)
     with pytest.raises(ValueError) as exact_error:
         verify_covering_exact("simplex", 0, 1)
     assert str(lp_error.value) == str(exact_error.value)
+
+
+def test_verify_covering_lp_refuses_an_unresolved_scale():
+    # Past p * 2^-53 = TOL an ulp of the float scale moves scale**p by
+    # more than the membership slack.
+    p_max = bodies.TOL * 2.0**53
+    assert verify_covering_lp("lp", 3, p_max, 3, samples=20).ok
+    for p in (math.nextafter(p_max, math.inf), 1e16, 1e308):
+        for family in ("qlp", "lp"):
+            with pytest.raises(ValueError, match=r"^p = .* is too large to verify"):
+                verify_covering_lp(family, 3, p, 3, samples=20)
+    # Only verification is refused: bounds and sampling keep their range.
+    assert gamma_upper_bound("lp", 3, 1e16, 3).m == lattice_sets.count(
+        LatticeSetSpec(lattice_sets.M2, 3, 3))
+    assert len(bodies.sample_boundary(bodies.lp_ball(3, 1e16), 5, 1)) == 5
 
 
 def test_gamma_upper_bound_simplex():
