@@ -120,9 +120,15 @@ def contains_exact(body: BodySpec, point: Sequence) -> bool:
     _check_dim(body, point)
     if not all(isinstance(c, (int, Fraction)) for c in point):
         raise ValueError("exact coordinates must be int or Fraction")
-    if body.nonnegative:
-        return all(c >= 0 for c in point) and sum(point) <= body.bound
-    return sum(abs(c) for c in point) <= body.bound
+    if body.nonnegative and any(c < 0 for c in point):
+        return False
+    return exact_l1(point) <= body.bound
+
+
+def exact_l1(point: Sequence) -> Fraction:
+    """sum |c_i| of ints and Fractions, as one integer sum over their lcm denominator."""
+    den = math.lcm(*(c.denominator for c in point))
+    return Fraction(sum(abs(c.numerator) * (den // c.denominator) for c in point), den)
 
 
 def contains_float(body: BodySpec, point: Sequence[float]) -> bool:
@@ -205,7 +211,7 @@ def _sample_exact(body: BodySpec, rng: random.Random) -> tuple:
         total = sum(weights)
         if total > 0:
             break
-    coords = [target * w / total for w in weights]
+    coords = [Fraction(target.numerator * w, target.denominator * total) for w in weights]
     if not body.nonnegative:
         coords = [c if rng.random() < 0.5 else -c for c in coords]
     return tuple(coords)

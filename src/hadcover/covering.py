@@ -112,7 +112,7 @@ def _decompose(scaled: BodySpec, y: Sequence) -> WitnessDecomposition:
     """
     if not bodies.contains_exact(scaled, y):
         raise ValueError(f"point lies outside the scaled {scaled.family}")
-    needed = max(0, math.ceil(sum(abs(c) for c in y)) - scaled.n)
+    needed = max(0, math.ceil(bodies.exact_l1(y)) - scaled.n)
     z = []
     remaining = needed
     for c in y:
@@ -170,8 +170,11 @@ def _verify(base: BodySpec, k: int, samples: int, seed: int) -> CoveringReport:
     Samples come from the inflated base body.  Every witness of a sample
     y is re-checked from scratch: z in the translation set and y - z in
     the base body (within bodies.TOL for curved bodies).  Polytopal
-    bodies then get the exhaustive translate sweep.  Module functions
-    are looked up at call time, so wrappers see them.
+    bodies then get the exhaustive translate sweep, _sweep: every
+    translate vertex z + c*e_i is checked in integers at O(1) from the
+    l1 sum of z (symmetric bodies) or its coordinate sum and count of
+    negative coordinates (nonnegative bodies).  Module functions are
+    looked up at call time, so wrappers see them.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -197,16 +200,43 @@ def _verify(base: BodySpec, k: int, samples: int, seed: int) -> CoveringReport:
         report.shell_levels[level] = report.shell_levels.get(level, 0) + 1
 
     if base.is_polytopal:
-        base_vertices = bodies.vertices(base)
-        for z in lattice_sets.enumerate_points(spec):
-            report.translates_checked += 1
-            for v in base_vertices:
-                shifted = tuple(c + w for c, w in zip(v, z))
-                if not bodies.contains_exact(scaled, shifted):
-                    report.translate_failures += 1
+        report.translates_checked, report.translate_failures = _sweep(base, scaled, spec)
 
     report.ok = report.witness_failures == 0 and report.translate_failures == 0
     return report
+
+
+def _sweep(base: BodySpec, scaled: BodySpec, spec: LatticeSetSpec) -> tuple[int, int]:
+    """(translates, translate vertices outside scaled), over every pair.
+
+    Each base vertex is c*e_i or the origin, so the translate vertex
+    z + c*e_i differs from z at i only: its defining sum and its count
+    of negative coordinates follow from those of z in O(1).  The sums
+    are integers, inside exactly when at most floor(scaled.bound),
+    whatever rational scale the body has.
+    """
+    limit = math.floor(scaled.bound)
+    steps = [_axis_step(v) for v in bodies.vertices(base)]
+    checked = failures = 0
+    for z in lattice_sets.enumerate_points(spec):
+        checked += 1
+        if base.nonnegative:
+            total = sum(z)
+            negatives = sum(1 for x in z if x < 0)
+            failures += sum(1 for i, c in steps if total + c > limit
+                            or negatives - (z[i] < 0) + (z[i] + c < 0))
+        else:
+            slack = limit - sum(map(abs, z))
+            failures += sum(1 for i, c in steps if abs(z[i] + c) - abs(z[i]) > slack)
+    return checked, failures
+
+
+def _axis_step(v: Sequence[int]) -> tuple[int, int]:
+    """An integer vertex c*e_i as (i, c); the origin as (0, 0)."""
+    nonzero = [(i, c) for i, c in enumerate(v) if c]
+    if len(nonzero) > 1 or not all(isinstance(c, int) for c in v):
+        raise ValueError("a base vertex must be integral with one nonzero coordinate")
+    return nonzero[0] if nonzero else (0, 0)
 
 
 def _peel(base: BodySpec, n: int, k: int, y: Sequence[float]) -> WitnessDecomposition:

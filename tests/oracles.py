@@ -2,12 +2,16 @@
 
 Everything here is deliberately naive: direct enumeration over integer
 boxes, Pascal's triangle built by addition, and closed-form roots of
-small polynomials.  None of it shares code with src/hadcover.
+small polynomials.  None of it shares code with src/hadcover, except
+reference_sweep, which runs the package's general membership test at
+every translate vertex.
 """
 
 from fractions import Fraction
 from itertools import product
 import math
+
+from hadcover import bodies, lattice_sets
 
 
 def pascal_triangle(rows):
@@ -67,6 +71,23 @@ def box_escaping_vertices(family, n, k, limit):
             if sum(map(abs, x)) > limit or (family == "simplex" and min(x) < 0):
                 escaping += 1
     return escaping
+
+
+def reference_sweep(base, scaled, spec):
+    """(translates, escaping vertices) with every z + v through contains_exact.
+
+    The verifier checks a vertex from the aggregates of z instead; this
+    route costs O(n) per vertex, so it is for small cases only.
+    """
+    checked = failures = 0
+    base_vertices = bodies.vertices(base)
+    for z in lattice_sets.enumerate_points(spec):
+        checked += 1
+        for v in base_vertices:
+            shifted = tuple(c + w for c, w in zip(v, z))
+            if not bodies.contains_exact(scaled, shifted):
+                failures += 1
+    return checked, failures
 
 
 def recursive_count_m1(n, k):

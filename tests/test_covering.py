@@ -107,20 +107,37 @@ def test_verify_covering_exact_broken_witness_fails(broken_witnesses):
 
 
 def test_translate_sweep_counts_escaping_vertices(monkeypatch):
-    # One step below the covering scale, translate vertices of the top
-    # shell leave the body while every witness still holds.
-    def short(base, k):
-        return base.rescaled(Fraction(base.n + k - 1, base.n))
-
-    monkeypatch.setattr(covering, "_inflated", short)
+    # Below the covering scale, translate vertices of the top shells leave
+    # the body while every witness still holds.  The verifier's sweep, the
+    # box oracle and the per-vertex reference sweep must count them alike,
+    # for integer and non-integer bounds.
     cases = (("simplex", 3, 2, 18), ("crosspolytope", 2, 1, 12),
-             ("crosspolytope", 3, 2, 78), ("simplex", 2, 1, 4))
-    for family, n, k, expected in cases:
-        report = verify_covering_exact(family, n, k, samples=30, seed=1)
-        assert report.witness_failures == 0
-        assert report.translate_failures == expected
-        assert oracles.box_escaping_vertices(family, n, k, n + k - 1) == expected
-        assert not report.ok
+             ("crosspolytope", 3, 2, 78), ("simplex", 2, 1, 4),
+             ("simplex", 5, 2, None), ("crosspolytope", 4, 2, None))
+    for shortfall in (1, Fraction(1, 2), 2):
+        def short(base, k):
+            return base.rescaled((base.n + k - shortfall) / Fraction(base.n))
+
+        monkeypatch.setattr(covering, "_inflated", short)
+        for family, n, k, expected in cases:
+            report = verify_covering_exact(family, n, k, samples=30, seed=1)
+            base = bodies.BodySpec(family, n)
+            spec = covering._translation_set(base, k)
+            reference = oracles.reference_sweep(base, short(base, k), spec)
+            assert report.witness_failures == 0
+            assert reference == (report.translates_checked, report.translate_failures)
+            assert oracles.box_escaping_vertices(
+                family, n, k, n + k - shortfall) == report.translate_failures > 0
+            if base.nonnegative:
+                # M2 translates have negative coordinates: the sign count
+                # of the nonnegative sweep must catch the vertices they move.
+                mixed = LatticeSetSpec("m2", n, k)
+                fast = covering._sweep(base, short(base, k), mixed)
+                assert fast == oracles.reference_sweep(base, short(base, k), mixed)
+                assert fast[1] > report.translate_failures
+            if shortfall < 2 and expected is not None:
+                assert report.translate_failures == expected
+            assert not report.ok
 
 
 def test_report_serialization():
