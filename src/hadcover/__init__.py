@@ -33,7 +33,6 @@ from .bodies import (
     vertices,
 )
 from .combinatorics import (
-    binomial,
     m1_count,
     m2_count_closed,
     m2_count_recurrence,
@@ -68,7 +67,6 @@ __all__ = [
     "TSequence",
     "WitnessDecomposition",
     "a_of_t",
-    "binomial",
     "contains_exact",
     "contains_float",
     "convergence_table",

@@ -127,9 +127,11 @@ def printed_variant_max() -> tuple[float, float]:
 
 
 def a_of_t(t: float) -> float:
-    """The positive root x of (1+x)^(1+x) / x^x = t, for t > 1.
+    """The positive root x of (1+x)^(1+x) / x^x = t, for 1 < t < m1_growth(128).
 
-    Generalizes c1 (which is a_of_t(2)) to translate budgets t^n.
+    Generalizes c1 (which is a_of_t(2)) to translate budgets t^n.  The
+    upper limit is about 349.3: past it the bracket doubles to x = 256,
+    where the growth function overflows a float.
     """
     if t <= 1:
         raise ValueError("t must be > 1")
@@ -137,9 +139,11 @@ def a_of_t(t: float) -> float:
     while m1_growth(lo) >= t:
         lo /= 2.0
     hi = 1.0
-    while m1_growth(hi) <= t:
-        hi *= 2.0
-    return solve_root(m1_growth, t, lo, hi)
+    with contextlib.suppress(OverflowError):
+        while m1_growth(hi) <= t:
+            hi *= 2.0
+        return solve_root(m1_growth, t, lo, hi)
+    raise ValueError(f"t = {t} is too large: the growth function overflows a float")
 
 
 def k_of_n_simplex(n: int) -> int:

@@ -149,25 +149,27 @@ def contains_float(body: BodySpec, point: Sequence[float]) -> bool:
     return sum(abs(c) ** body.p for c in coords) <= limit
 
 
-def vertices(body: BodySpec) -> list[tuple]:
-    """Vertex list of a polytopal body, as exact points (ints where integral).
+def axis_vertices(body: BodySpec) -> list[tuple[int, Scale]]:
+    """Vertex list of a polytopal body in axis form: (i, c) means c*e_i.
 
-    Simplex-like bodies: the origin plus (scale*n) e_i.  Cross-polytope
-    bodies: +-(scale*n) e_i.  Curved bodies (p > 1) have no vertex list.
+    Simplex-like bodies: the origin, as (0, 0), then (i, scale*n) for
+    each i.  Cross-polytope bodies: (i, scale*n) and (i, -scale*n).
+    c is an int where integral.  Curved bodies (p > 1) have no vertex
+    list.
     """
     if not body.is_polytopal:
         raise ValueError("curved bodies (p > 1) have no vertex list")
-    n = body.n
     r = body.bound
     r = r.numerator if r.denominator == 1 else r
-    out = [(0,) * n] if body.nonnegative else []
-    signs = (1,) if body.nonnegative else (1, -1)
-    for i in range(n):
-        for sign in signs:
-            v = [0] * n
-            v[i] = sign * r
-            out.append(tuple(v))
-    return out
+    out = [(0, 0)] if body.nonnegative else []
+    signs = (r,) if body.nonnegative else (r, -r)
+    return out + [(i, c) for i in range(body.n) for c in signs]
+
+
+def vertices(body: BodySpec) -> list[tuple]:
+    """The points of axis_vertices(body): exact, ints where integral."""
+    n = body.n
+    return [(0,) * i + (c,) + (0,) * (n - 1 - i) for i, c in axis_vertices(body)]
 
 
 # Rational samples draw numerators below this denominator.

@@ -21,15 +21,6 @@ from __future__ import annotations
 import math
 
 
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k), 0 whenever k is outside [0, n]."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def m1_count(n: int, k: int) -> int:
     """Number of nonnegative integer vectors of length n with sum <= k.
 

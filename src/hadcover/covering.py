@@ -209,14 +209,15 @@ def _verify(base: BodySpec, k: int, samples: int, seed: int) -> CoveringReport:
 def _sweep(base: BodySpec, scaled: BodySpec, spec: LatticeSetSpec) -> tuple[int, int]:
     """(translates, translate vertices outside scaled), over every pair.
 
-    Each base vertex is c*e_i or the origin, so the translate vertex
-    z + c*e_i differs from z at i only: its defining sum and its count
-    of negative coordinates follow from those of z in O(1).  The sums
-    are integers, inside exactly when at most floor(scaled.bound),
-    whatever rational scale the body has.
+    Each base vertex is c*e_i or the origin, read as (i, c) from
+    bodies.axis_vertices, so the translate vertex z + c*e_i differs
+    from z at i only: its defining sum and its count of negative
+    coordinates follow from those of z in O(1).  The sums are integers,
+    inside exactly when at most floor(scaled.bound), whatever rational
+    scale the body has.
     """
     limit = math.floor(scaled.bound)
-    steps = [_axis_step(v) for v in bodies.vertices(base)]
+    steps = bodies.axis_vertices(base)
     checked = failures = 0
     for z in lattice_sets.enumerate_points(spec):
         checked += 1
@@ -229,14 +230,6 @@ def _sweep(base: BodySpec, scaled: BodySpec, spec: LatticeSetSpec) -> tuple[int,
             slack = limit - sum(map(abs, z))
             failures += sum(1 for i, c in steps if abs(z[i] + c) - abs(z[i]) > slack)
     return checked, failures
-
-
-def _axis_step(v: Sequence[int]) -> tuple[int, int]:
-    """An integer vertex c*e_i as (i, c); the origin as (0, 0)."""
-    nonzero = [(i, c) for i, c in enumerate(v) if c]
-    if len(nonzero) > 1 or not all(isinstance(c, int) for c in v):
-        raise ValueError("a base vertex must be integral with one nonzero coordinate")
-    return nonzero[0] if nonzero else (0, 0)
 
 
 def _peel(base: BodySpec, n: int, k: int, y: Sequence[float]) -> WitnessDecomposition:

@@ -23,7 +23,6 @@ from hadcover.asymptotics import (
 )
 from hadcover.cli import main
 from hadcover.combinatorics import (
-    binomial,
     m1_count,
     m2_count_closed,
     m2_count_recurrence,
@@ -75,8 +74,8 @@ def test_acceptance_2_count_identities(capsys):
     for n in range(1, 21):
         for k in range(1, n + 1):
             value = m2_count_closed(n, k)
-            ok = ok and (1 << k) * binomial(n, k) <= value
-            ok = ok and value <= (1 << k) * binomial(n + k, k)
+            ok = ok and (1 << k) * math.comb(n, k) <= value
+            ok = ok and value <= (1 << k) * math.comb(n + k, k)
     _verdict(capsys, "low-dimension laws, symmetry, and sandwich bounds", ok)
 
 

@@ -17,7 +17,7 @@ from hadcover.asymptotics import (
     rogers_zong_bound,
     solve_root,
 )
-from hadcover.combinatorics import binomial, m1_count, m2_count_closed, m2_count_recurrence
+from hadcover.combinatorics import m1_count, m2_count_closed, m2_count_recurrence
 
 
 def test_growth_functions_relations():
@@ -77,8 +77,18 @@ def test_a_of_t_inverts_the_growth_function():
     for c in (0.1, 0.29, 0.7, 1.5):
         assert a_of_t(m1_growth(c)) == pytest.approx(c, abs=1e-10)
     assert a_of_t(1.5) < a_of_t(2.0) < a_of_t(4.0)
-    with pytest.raises(ValueError):
-        a_of_t(1.0)
+    for t in (1.0, 400.0, math.inf):
+        with pytest.raises(ValueError):
+            a_of_t(t)
+
+
+def test_a_of_t_domain_ends_at_m1_growth_128():
+    # The bracket doubles 1, 2, ..., 128, 256; m1_growth(256) overflows.
+    edge = m1_growth(128.0)
+    below = math.nextafter(edge, 0.0)
+    assert a_of_t(below) == pytest.approx(128.0, rel=1e-9)
+    with pytest.raises(ValueError, match=f"^t = {edge!r} is too large"):
+        a_of_t(edge)
 
 
 def test_k_of_n_simplex_examples():
@@ -124,11 +134,11 @@ def test_k1_k2_definitions_and_sandwich():
     for n in [*range(1, 65), 1024, 4096]:
         k1, k2 = k1_k2_of_n(n)
         cap = 1 << n
-        assert (1 << k1) * binomial(n + k1, k1) <= cap
-        assert (1 << (k1 + 1)) * binomial(n + k1 + 1, k1 + 1) > cap
-        assert (1 << k2) * binomial(n, k2) <= cap
+        assert (1 << k1) * math.comb(n + k1, k1) <= cap
+        assert (1 << (k1 + 1)) * math.comb(n + k1 + 1, k1 + 1) > cap
+        assert (1 << k2) * math.comb(n, k2) <= cap
         if k2 < n:
-            assert (1 << (k2 + 1)) * binomial(n, k2 + 1) > cap
+            assert (1 << (k2 + 1)) * math.comb(n, k2 + 1) > cap
         assert k1 <= k_max_crosspolytope(n) <= k2
 
 

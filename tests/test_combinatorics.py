@@ -1,7 +1,8 @@
+import math
+
 import pytest
 
 from hadcover.combinatorics import (
-    binomial,
     m1_count,
     m2_count_closed,
     m2_count_recurrence,
@@ -9,28 +10,19 @@ from hadcover.combinatorics import (
 import oracles
 
 
-def test_binomial_small_values():
-    assert binomial(5, 3) == 10
-    assert binomial(7, 0) == 1
-    assert binomial(7, 7) == 1
-    assert binomial(14, 10) == 1001
-
-
-def test_binomial_matches_pascal_triangle():
+def test_m1_count_matches_pascal_triangle():
+    # C(n, k) = m1(n - k, k): row n of the triangle read off the counts.
     tri = oracles.pascal_triangle(15)
     for n, row in enumerate(tri):
         for k, value in enumerate(row):
-            assert binomial(n, k) == value
+            assert m1_count(n - k, k) == value
 
 
-def test_binomial_outside_range_is_zero():
-    assert binomial(5, 6) == 0
-    assert binomial(5, -1) == 0
-
-
-def test_binomial_rejects_negative_n():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
+def test_counts_reject_negative_arguments():
+    for count in (m1_count, m2_count_closed, m2_count_recurrence):
+        for n, k in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                count(n, k)
 
 
 def test_m1_count_examples():
@@ -119,8 +111,8 @@ def test_m2_three_term_recurrence():
 def test_m2_sandwich_bounds():
     for n in range(1, 21):
         for k in range(1, n + 1):
-            lower = (1 << k) * binomial(n, k)
-            upper = (1 << k) * binomial(n + k, k)
+            lower = (1 << k) * math.comb(n, k)
+            upper = (1 << k) * math.comb(n + k, k)
             value = m2_count_closed(n, k)
             assert lower <= value <= upper
 
