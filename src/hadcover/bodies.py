@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 SIMPLEX = "simplex"
 CROSSPOLYTOPE = "crosspolytope"
@@ -120,7 +120,7 @@ def contains_exact(body: BodySpec, point: Sequence) -> bool:
     _check_dim(body, point)
     if not all(isinstance(c, (int, Fraction)) for c in point):
         raise ValueError("exact coordinates must be int or Fraction")
-    if body.nonnegative and any(c < 0 for c in point):
+    if body.nonnegative and any(c.numerator < 0 for c in point):
         return False
     return exact_l1(point) <= body.bound
 
@@ -140,13 +140,17 @@ def contains_float(body: BodySpec, point: Sequence[float]) -> bool:
     if body.family not in (QUARTER_LP, LP):
         raise ValueError("float membership is for the l_p families")
     _check_dim(body, point)
-    coords = [float(c) for c in point]
-    if any(not math.isfinite(c) for c in coords):
+    coords = list(map(float, point))
+    if not all(map(math.isfinite, coords)):
         raise ValueError("coordinates must be finite")
-    if body.family == QUARTER_LP and any(c < -TOL for c in coords):
+    return _float_inside(body, coords, (abs(c) ** body.p for c in coords))
+
+
+def _float_inside(body: BodySpec, coords: Sequence, terms: Iterable[float]) -> bool:
+    """contains_float's rule, given finite coords and their terms |x_i|^p in order."""
+    if body.family == QUARTER_LP and float(min(coords)) < -TOL:
         return False
-    limit = body.bound * (1.0 + TOL)
-    return sum(abs(c) ** body.p for c in coords) <= limit
+    return sum(terms) <= body.bound * (1.0 + TOL)
 
 
 def axis_vertices(body: BodySpec) -> list[tuple[int, Scale]]:
@@ -213,10 +217,9 @@ def _sample_exact(body: BodySpec, rng: random.Random) -> tuple:
         total = sum(weights)
         if total > 0:
             break
-    coords = [Fraction(target.numerator * w, target.denominator * total) for w in weights]
-    if not body.nonnegative:
-        coords = [c if rng.random() < 0.5 else -c for c in coords]
-    return tuple(coords)
+    num, den = target.numerator, target.denominator * total
+    return tuple(Fraction(num * w if body.nonnegative or rng.random() < 0.5 else -num * w, den)
+                 for w in weights)
 
 
 def _sample_float(body: BodySpec, rng: random.Random) -> tuple:

@@ -108,22 +108,25 @@ def _decompose(scaled: BodySpec, y: Sequence) -> WitnessDecomposition:
     floors of |y| always sum to at least m, so a greedy scan assigning
     |z_i| = min(floor |y_i|, remaining budget) ends with sum |z_i| = m
     and leaves the residual inside the normalized body.  Each z_i takes
-    the sign of y_i.
+    the sign of y_i.  The arithmetic is on the integers |y_i| * D, D the
+    lcm denominator, and the residual subtracts only where z_i != 0.
     """
     if not bodies.contains_exact(scaled, y):
         raise ValueError(f"point lies outside the scaled {scaled.family}")
-    needed = max(0, math.ceil(bodies.exact_l1(y)) - scaled.n)
+    den = math.lcm(*(c.denominator for c in y))
+    mags = [abs(c.numerator) * (den // c.denominator) for c in y]
+    needed = max(0, -(-sum(mags) // den) - scaled.n)
     z = []
     remaining = needed
-    for c in y:
-        take = min(math.floor(abs(c)), remaining)
-        z.append(take if c >= 0 else -take)
+    for c, m in zip(y, mags):
+        take = min(m // den, remaining)
+        z.append(take if c.numerator >= 0 else -take)
         remaining -= take
     if remaining:
         # The shell argument guarantees enough integer mass; reaching
         # here means the decomposition itself is broken.
         raise AssertionError("floor sum below required budget")
-    residual = tuple(c - w for c, w in zip(y, z))
+    residual = tuple(c - w if w else c for c, w in zip(y, z))
     return WitnessDecomposition(tuple(z), residual, needed)
 
 
@@ -193,7 +196,7 @@ def _verify(base: BodySpec, k: int, samples: int, seed: int) -> CoveringReport:
 
     for y in bodies.sample_boundary(scaled, samples, seed):
         witness = decompose(n, k, y)
-        residual = [c - w for c, w in zip(y, witness.z)]
+        residual = [c - w if w else c for c, w in zip(y, witness.z)]
         if not (lattice_sets.member(spec, witness.z) and inside(base, residual)):
             report.witness_failures += 1
         level = witness.shell_level
@@ -238,17 +241,24 @@ def _peel(base: BodySpec, n: int, k: int, y: Sequence[float]) -> WitnessDecompos
     Each move shifts the largest-magnitude coordinate one unit toward
     zero.  Outside the body that coordinate exceeds 1 in magnitude, so
     each subtraction is exact and the residual equals y - z bit for bit.
-    The shell level is the number of moves.
+    The shell level is the number of moves.  After one full
+    contains_float call, each move recomputes only its own term |x_i|^p,
+    and the kept terms decide as a full call would, bit for bit.
     """
     x = list(y)
     z = [0] * n
     moves = 0
-    while moves < k and not bodies.contains_float(base, x):
-        i = max(range(n), key=lambda j: abs(x[j]))
-        step = 1 if x[i] >= 0 else -1
-        x[i] -= step
-        z[i] += step
-        moves += 1
+    if k and not bodies.contains_float(base, x):
+        mags = [abs(float(c)) for c in x]
+        terms = [m ** base.p for m in mags]
+        while moves < k and not bodies._float_inside(base, x, terms):
+            i = mags.index(max(mags))
+            step = 1 if x[i] >= 0 else -1
+            x[i] -= step
+            z[i] += step
+            moves += 1
+            mags[i] = abs(float(x[i]))
+            terms[i] = mags[i] ** base.p
     return WitnessDecomposition(tuple(z), tuple(x), moves)
 
 

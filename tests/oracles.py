@@ -3,8 +3,8 @@
 Everything here is deliberately naive: direct enumeration over integer
 boxes, Pascal's triangle built by addition, and closed-form roots of
 small polynomials.  None of it shares code with src/hadcover, except
-reference_sweep, which runs the package's general membership test at
-every translate vertex.
+reference_sweep and reference_peel, which run the package's general
+membership tests at every translate vertex and before every peel move.
 """
 
 from fractions import Fraction
@@ -88,6 +88,41 @@ def reference_sweep(base, scaled, spec):
             if not bodies.contains_exact(scaled, shifted):
                 failures += 1
     return checked, failures
+
+
+def reference_peel(base, n, k, y):
+    """(z, residual, moves) of the l_p peel, one full contains_float per move.
+
+    The verifier keeps the power terms of the point and recomputes only
+    the moved one; this loop re-reads every coordinate before each move.
+    """
+    x = list(y)
+    z = [0] * n
+    moves = 0
+    while moves < k and not bodies.contains_float(base, x):
+        i = max(range(n), key=lambda j: abs(x[j]))
+        step = 1 if x[i] >= 0 else -1
+        x[i] -= step
+        z[i] += step
+        moves += 1
+    return tuple(z), tuple(x), moves
+
+
+def reference_decompose(n, y):
+    """(z, residual, budget) of the exact greedy witness, in Fractions.
+
+    The budget is max(0, ceil(sum |y_i|) - n), and |z_i| takes
+    min(floor |y_i|, budget left) with the sign of y_i.  y must lie in
+    the inflated body the decomposers accept.
+    """
+    budget = max(0, math.ceil(sum(abs(c) for c in y)) - n)
+    z = []
+    remaining = budget
+    for c in y:
+        take = min(math.floor(abs(c)), remaining)
+        z.append(take if c >= 0 else -take)
+        remaining -= take
+    return tuple(z), tuple(c - w for c, w in zip(y, z)), budget
 
 
 def recursive_count_m1(n, k):

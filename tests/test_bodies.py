@@ -188,6 +188,16 @@ def test_sampling_is_deterministic():
          Fraction(-12949437, 12175000)),
         (Fraction(5361, 1375), Fraction(23231, 79200), Fraction(-109007, 396000)),
     ]
+    # The nonnegative family draws no signs; the float sampler draws its own.
+    assert sample_boundary(simplex(3, Fraction(3, 2)), 2, 42) == [
+        (Fraction(7977873, 6087500), Fraction(3551623, 3043750),
+         Fraction(12949437, 12175000)),
+        (Fraction(1638679, 1001650), Fraction(652904, 2504125), Fraction(4435529, 2504125)),
+    ]
+    assert sample_boundary(lp_ball(3, 2.5, 1.2), 2, 42) == [
+        (-0.6026363365657593, -0.48909295313604306, 1.6137345542713255),
+        (0.7015101711930984, -1.6214560850610507, -0.08514190022306795),
+    ]
 
 
 def test_samples_stay_inside_exact_bodies():

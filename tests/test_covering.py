@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -50,9 +52,11 @@ def test_decompose_crosspolytope_one_dimensional():
 
 
 def test_decompose_rejects_outside_points():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^point lies outside the scaled simplex$"):
         decompose_simplex(2, 1, (Fraction(2), Fraction(2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^point lies outside the scaled simplex$"):
+        decompose_simplex(2, 1, (Fraction(1), Fraction(-1, 3)))
+    with pytest.raises(ValueError, match="^point lies outside the scaled crosspolytope$"):
         decompose_crosspolytope(2, 1, (Fraction(-3), Fraction(1)))
 
 
@@ -77,6 +81,74 @@ def test_witnesses_are_sound_on_random_samples():
                     assert bodies.contains_exact(base, w.residual)
                     assert tuple(a + b for a, b in zip(w.z, w.residual)) == tuple(y)
                     assert 0 <= w.shell_level <= k
+
+
+def _fields(z, residual, level):
+    # repr tells int from Fraction from float, and -0.0 from 0.0.
+    return z, [(type(c), repr(c)) for c in residual], level
+
+
+def _mixed_point(rng, n, cap):
+    # ints and Fractions with unequal denominators, each at most cap in magnitude.
+    point = []
+    for _ in range(n):
+        d = 1 if rng.random() < 0.3 else rng.randint(2, 12)
+        c = Fraction(rng.randint(-math.floor(cap * d), math.floor(cap * d)), d)
+        point.append(c.numerator if d == 1 else c)
+    return tuple(point)
+
+
+def test_decompose_matches_the_fraction_greedy():
+    rng = random.Random(12)
+    for family, decompose in (("simplex", decompose_simplex),
+                              ("crosspolytope", decompose_crosspolytope)):
+        for n in (1, 2, 3, 5, 8):
+            for k in (0, 1, 2, 4):
+                scaled = bodies.BodySpec(family, n, 1.0, Fraction(n + k, n))
+                points = bodies.sample_boundary(scaled, 40, seed=100 * n + k)
+                mixed = [_mixed_point(rng, n, Fraction(2 * (n + k), n)) for _ in range(200)]
+                if family == "simplex":
+                    mixed = [tuple(abs(c) for c in y) for y in mixed]
+                mixed = [y for y in mixed if bodies.contains_exact(scaled, y)]
+                assert len(mixed) > 20
+                assert any(isinstance(c, int) for y in mixed for c in y)
+                for y in points + mixed:
+                    w = decompose(n, k, y)
+                    assert _fields(w.z, w.residual, w.shell_level) == _fields(
+                        *oracles.reference_decompose(n, y))
+
+
+def _peel_cases():
+    """(base, k, point): samples, uniform points, and adversarial points."""
+    rng = random.Random(7)
+    for family in ("qlp", "lp"):
+        for p in (1.5, 2.5, 4.0, 100.0):
+            for k in (0, 1, 4, 8):
+                for n in (2, 5):
+                    base = bodies.BodySpec(family, n, p)
+                    scaled = covering._inflated(base, k)
+                    for y in bodies.sample_boundary(scaled, 40, seed=int(p * 100) + 10 * k + n):
+                        yield base, k, y
+                    for _ in range(20):
+                        yield base, k, tuple(rng.uniform(-3, 3) for _ in range(n))
+                base = bodies.BodySpec(family, 3, p)
+                for k in (0, 1, 4, 8):
+                    for y in itertools.product((-1e-8, -0.5, 0, 0.0, 1, 1 + 2**-52, 2.0), repeat=3):
+                        yield base, k, y
+                    # Ties in magnitude, signed zeros, and points already inside.
+                    for y in ((2.0, -2.0, 2.0), (-1.5, 1.5, 0.0), (0.0, -0.0, -0.0),
+                              (-1.0, -1.0, -1.0), (0.5, 0.25, 0.0), (1.0, 1.0, 1.0)):
+                        yield base, k, y
+
+
+def test_peel_matches_one_membership_call_per_move():
+    cases = 0
+    for base, k, y in _peel_cases():
+        w = covering._peel(base, base.n, k, y)
+        assert _fields(w.z, w.residual, w.shell_level) == _fields(
+            *oracles.reference_peel(base, base.n, k, y)), (base, k, y)
+        cases += 1
+    assert cases > 10000
 
 
 def test_verify_covering_exact_passes():
