@@ -70,9 +70,8 @@ def solve_root(f: Callable[[float], float], target: float, lo: float, hi: float)
     """Bisection root of f(x) = target for monotone f on [lo, hi].
 
     Runs until both the bracket width and the residual |f(x) - target|
-    drop below DEFAULT_TOL (or the bracket becomes unsplittable in
-    floats, which for the smooth monotone functions used here implies
-    full precision).
+    drop below DEFAULT_TOL.  Where f is steep, floats stop splitting the
+    bracket first; the residual there must be <= DEFAULT_TOL * max(1, |target|).
     """
     f_lo, f_hi = f(lo) - target, f(hi) - target
     if f_lo == 0:
@@ -96,7 +95,7 @@ def solve_root(f: Callable[[float], float], target: float, lo: float, hi: float)
         if hi - lo <= DEFAULT_TOL and abs(val) <= DEFAULT_TOL:
             return mid
     mid = (lo + hi) / 2.0
-    if abs(f(mid) - target) > DEFAULT_TOL:
+    if abs(f(mid) - target) > DEFAULT_TOL * max(1.0, abs(target)):
         raise ValueError("bisection stalled above the tolerance")
     return mid
 
@@ -148,26 +147,27 @@ def a_of_t(t: float) -> float:
 
 def k_of_n_simplex(n: int) -> int:
     """Largest k with C(n+k, n) <= 2^n, by exact comparison."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _largest_k(lambda k: m1_count(n, k), 1 << n)
+    return _largest_k(lambda k: m1_count(n, k), _budget(n))
 
 
 def k_max_crosspolytope(n: int) -> int:
     """Largest k with m2(n, k) <= 2^n, by exact comparison."""
+    return _largest_k(lambda k: m2_count_closed(n, k), _budget(n))
+
+
+def _budget(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _largest_k(lambda k: m2_count_closed(n, k), 1 << n)
+    return 1 << n
 
 
 def _largest_k(count: Callable[[int], int], target: int) -> int:
-    # Doubling then binary search; count is strictly increasing in k.
+    # Doubling, then bisection for the last k with count(k) <= target.
+    # Precondition: count(0) <= target, so lo = hi // 2 = 0 needs no probe.
     hi = 1
     while count(hi) <= target:
         hi *= 2
-    lo = hi // 2 if hi > 1 else 0
-    if lo == 0 and count(0) > target:
-        raise ValueError("count exceeds target already at k = 0")
+    lo = hi // 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if count(mid) <= target else (lo, mid)
@@ -179,18 +179,15 @@ def k1_k2_of_n(n: int) -> tuple[int, int]:
 
     Each is the last k before its product first exceeds 2^n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    target = 1 << n
+    target = _budget(n)
     # 2^k C(n+k, k) grows by the factor 2(n+k+1)/(k+1) > 1 at each step.
     k1 = _largest_k(lambda k: (1 << k) * m1_count(n, k), target)
-    # 2^k C(n, k) falls again past k ~ 2n/3 and equals 2^n at k = n, so it
-    # is not monotone and _largest_k does not apply: scan up from k = 0,
-    # carrying the next term 2^(k2+1) C(n, k2+1) by the ratio 2(n-k)/(k+1).
-    k2, term = 0, 2 * n
-    while k2 + 1 <= n and term <= target:
-        k2 += 1
-        term = term * 2 * (n - k2) // (k2 + 1)
+    # 2^k C(n, k) rises while k < (2n-1)/3, then falls back to exactly 2^n at
+    # k = n; any k > n reads as "exceeds".  For n >= 3 it first exceeds 2^n on
+    # the rise, at k2 < n/2, so the doubling stops at a power of two <= 2 k2 < n
+    # and never probes the fall.  For n = 1, 2 it never exceeds 2^n (at n = 2
+    # the terms are 1, 4, 4), and the search returns n.
+    k2 = _largest_k(lambda k: (1 << k) * math.comb(n, k) if k <= n else target + 1, target)
     return k1, k2
 
 

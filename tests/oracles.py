@@ -125,6 +125,21 @@ def reference_decompose(n, y):
     return tuple(z), tuple(c - w for c, w in zip(y, z)), budget
 
 
+def reference_k2(n):
+    """Last k before 2^k C(n, k) first exceeds 2^n, by a linear scan.
+
+    The product is not monotone in k (it falls back to 2^n at k = n), so
+    the scan walks up from k = 0 and stops at the first crossing,
+    carrying the next term 2^(k+1) C(n, k+1) by the ratio 2(n-k)/(k+1).
+    """
+    target = 1 << n
+    k2, term = 0, 2 * n
+    while k2 + 1 <= n and term <= target:
+        k2 += 1
+        term = term * 2 * (n - k2) // (k2 + 1)
+    return k2
+
+
 def recursive_count_m1(n, k):
     """Same set as box_count_m1 counted by budget recursion.
 

@@ -18,6 +18,7 @@ from hadcover.asymptotics import (
     solve_root,
 )
 from hadcover.combinatorics import m1_count, m2_count_closed, m2_count_recurrence
+import oracles
 
 
 def test_growth_functions_relations():
@@ -36,6 +37,10 @@ def test_solve_root_basics():
     assert got == pytest.approx(0.25, abs=1e-12)
     with pytest.raises(ValueError):
         solve_root(lambda x: x, 5.0, 0.0, 1.0)
+    # A jump at the root leaves a residual of 1/2 when the bracket can no
+    # longer be split; the relative check must not accept it.
+    with pytest.raises(ValueError, match="bisection stalled above the tolerance"):
+        solve_root(lambda x: 0.0 if x < 0.5 else 1.0, 0.5, 0.0, 1.0)
 
 
 def test_growth_constants_digits():
@@ -80,6 +85,14 @@ def test_a_of_t_inverts_the_growth_function():
     for t in (1.0, 400.0, math.inf):
         with pytest.raises(ValueError):
             a_of_t(t)
+
+
+def test_a_of_t_returns_on_the_whole_grid():
+    # Past t ~ 172 the root lies in [63, 128], where adjacent floats of x
+    # move m1_growth by several 1e-12: the residual is held relative to t.
+    for i in range(11, 3493):
+        t = i / 10
+        assert abs(m1_growth(a_of_t(t)) - t) <= 1e-12 * t
 
 
 def test_a_of_t_domain_ends_at_m1_growth_128():
@@ -131,7 +144,7 @@ def test_k1_k2_examples():
 
 
 def test_k1_k2_definitions_and_sandwich():
-    for n in [*range(1, 65), 1024, 4096]:
+    for n in [*range(1, 65), *(2**j for j in range(7, 15))]:
         k1, k2 = k1_k2_of_n(n)
         cap = 1 << n
         assert (1 << k1) * math.comb(n + k1, k1) <= cap
@@ -140,6 +153,14 @@ def test_k1_k2_definitions_and_sandwich():
         if k2 < n:
             assert (1 << (k2 + 1)) * math.comb(n, k2 + 1) > cap
         assert k1 <= k_max_crosspolytope(n) <= k2
+
+
+def test_k2_matches_the_linear_scan():
+    # At n = 2^j the doubling bracket could land on k = n, where the
+    # product is back at 2^n; the powers and their neighbours check it.
+    edges = {2**j + d for j in range(1, 15) for d in (-1, 0, 1)}
+    for n in sorted(set(range(1, 1201)) | edges):
+        assert k1_k2_of_n(n)[1] == oracles.reference_k2(n), n
 
 
 def test_threshold_ratio_approaches_root():
