@@ -115,27 +115,33 @@ def contains_exact(body: BodySpec, point: Sequence) -> bool:
     Coordinates must be ints or Fractions and are used as given; any
     other type raises ValueError.  The decision never rounds.
     """
+    return _exact_magnitudes(body, point) is not None
+
+
+def _exact_magnitudes(body: BodySpec, point: Sequence) -> tuple[int, list[int]] | None:
+    """(D, [|c_i|·D]) of a point inside the body, D the lcm denominator; None outside.
+
+    contains_exact's validation and rule, decided on the integer sum of
+    the |c_i|·D, so the witness peels the numbers membership read.
+    """
     if not body.is_polytopal:
         raise ValueError("exact membership needs a polytopal body (p = 1)")
     _check_dim(body, point)
     if not all(isinstance(c, (int, Fraction)) for c in point):
         raise ValueError("exact coordinates must be int or Fraction")
     if body.nonnegative and any(c.numerator < 0 for c in point):
-        return False
-    return exact_l1(point) <= body.bound
-
-
-def exact_l1(point: Sequence) -> Fraction:
-    """sum |c_i| of ints and Fractions, as one integer sum over their lcm denominator."""
+        return None
     den = math.lcm(*(c.denominator for c in point))
-    return Fraction(sum(abs(c.numerator) * (den // c.denominator) for c in point), den)
+    mags = [abs(c.numerator) * (den // c.denominator) for c in point]
+    return (den, mags) if Fraction(sum(mags), den) <= body.bound else None
 
 
 def contains_float(body: BodySpec, point: Sequence[float]) -> bool:
     """Tolerant membership test for the l_p families.
 
     Accepts the point when sum |x_i|^p <= scale^p * n * (1 + TOL), and
-    for the quarter ball additionally requires every x_i >= -TOL.
+    for the quarter ball additionally requires every x_i >= -TOL.  A
+    term |x_i|^p past the float range is past the finite bound: outside.
     """
     if body.family not in (QUARTER_LP, LP):
         raise ValueError("float membership is for the l_p families")
@@ -143,7 +149,10 @@ def contains_float(body: BodySpec, point: Sequence[float]) -> bool:
     coords = list(map(float, point))
     if not all(map(math.isfinite, coords)):
         raise ValueError("coordinates must be finite")
-    return _float_inside(body, coords, (abs(c) ** body.p for c in coords))
+    try:
+        return _float_inside(body, coords, (abs(c) ** body.p for c in coords))
+    except OverflowError:
+        return False
 
 
 def _float_inside(body: BodySpec, coords: Sequence, terms: Iterable[float]) -> bool:

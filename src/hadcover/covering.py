@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -72,23 +72,12 @@ class CoveringReport:
     ok: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "k": self.k,
-            "p": self.p,
-            "samples": self.samples,
-            "seed": self.seed,
-            "witness_failures": self.witness_failures,
-            "translate_failures": self.translate_failures,
-            "translates_checked": self.translates_checked,
-            "success_rate": (self.samples - self.witness_failures) / self.samples,
-            "shell_levels": {
-                str(level): self.shell_levels[level]
-                for level in sorted(self.shell_levels)
-            },
-            "ok": self.ok,
-        }
+        out = asdict(self)
+        levels = out.pop("shell_levels")
+        out["success_rate"] = (self.samples - self.witness_failures) / self.samples
+        out["shell_levels"] = {str(level): levels[level] for level in sorted(levels)}
+        out["ok"] = out.pop("ok")  # last, after the derived keys
+        return out
 
 
 def decompose_simplex(n: int, k: int, y: Sequence) -> WitnessDecomposition:
@@ -109,12 +98,13 @@ def _decompose(scaled: BodySpec, y: Sequence) -> WitnessDecomposition:
     |z_i| = min(floor |y_i|, remaining budget) ends with sum |z_i| = m
     and leaves the residual inside the normalized body.  Each z_i takes
     the sign of y_i.  The arithmetic is on the integers |y_i| * D, D the
-    lcm denominator, and the residual subtracts only where z_i != 0.
+    lcm denominator, that bodies._exact_magnitudes decided membership
+    on, and the residual subtracts only where z_i != 0.
     """
-    if not bodies.contains_exact(scaled, y):
+    inside = bodies._exact_magnitudes(scaled, y)
+    if inside is None:
         raise ValueError(f"point lies outside the scaled {scaled.family}")
-    den = math.lcm(*(c.denominator for c in y))
-    mags = [abs(c.numerator) * (den // c.denominator) for c in y]
+    den, mags = inside
     needed = max(0, -(-sum(mags) // den) - scaled.n)
     z = []
     remaining = needed
@@ -241,24 +231,23 @@ def _peel(base: BodySpec, n: int, k: int, y: Sequence[float]) -> WitnessDecompos
     Each move shifts the largest-magnitude coordinate one unit toward
     zero.  Outside the body that coordinate exceeds 1 in magnitude, so
     each subtraction is exact and the residual equals y - z bit for bit.
-    The shell level is the number of moves.  After one full
-    contains_float call, each move recomputes only its own term |x_i|^p,
-    and the kept terms decide as a full call would, bit for bit.
+    The shell level is the number of moves.  The terms |x_i|^p are
+    computed once, each move recomputes its own, and bodies._float_inside
+    decides every step on them, bit for bit as contains_float would.
     """
     x = list(y)
     z = [0] * n
     moves = 0
-    if k and not bodies.contains_float(base, x):
-        mags = [abs(float(c)) for c in x]
-        terms = [m ** base.p for m in mags]
-        while moves < k and not bodies._float_inside(base, x, terms):
-            i = mags.index(max(mags))
-            step = 1 if x[i] >= 0 else -1
-            x[i] -= step
-            z[i] += step
-            moves += 1
-            mags[i] = abs(float(x[i]))
-            terms[i] = mags[i] ** base.p
+    mags = [abs(float(c)) for c in x]
+    terms = [m ** base.p for m in mags]
+    while moves < k and not bodies._float_inside(base, x, terms):
+        i = mags.index(max(mags))
+        step = 1 if x[i] >= 0 else -1
+        x[i] -= step
+        z[i] += step
+        moves += 1
+        mags[i] = abs(float(x[i]))
+        terms[i] = mags[i] ** base.p
     return WitnessDecomposition(tuple(z), tuple(x), moves)
 
 

@@ -90,6 +90,17 @@ def reference_sweep(base, scaled, spec):
     return checked, failures
 
 
+def reference_contains_exact(body, point):
+    """Exact membership by the sign rule and a plain Fraction sum of |c|.
+
+    Nonnegative bodies refuse any negative coordinate; then sum |c_i|
+    must be at most scale * n.  No lcm and no integer numerators.
+    """
+    if body.nonnegative and any(c < 0 for c in point):
+        return False
+    return sum(Fraction(abs(c)) for c in point) <= Fraction(body.scale) * body.n
+
+
 def reference_peel(base, n, k, y):
     """(z, residual, moves) of the l_p peel, one full contains_float per move.
 

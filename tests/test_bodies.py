@@ -41,12 +41,23 @@ def test_quarter_lp_membership_examples():
     assert not contains_float(body, (-0.5, 0.5))
     scaled = quarter_lp(2, 2.0, math.sqrt(1.5))
     assert contains_float(scaled, (1.2, 1.0))
+    # 2.0 ** 2000 is past the float range, and so past the finite bound.
+    steep = quarter_lp(2, 2000.0)
+    assert contains_float(steep, (1.0, 0.0))
+    assert contains_float(steep, (1.0, 1.0))
+    assert not contains_float(steep, (2.0, 0.0))
+    assert not contains_float(steep, (-1.0, 0.5))
 
 
 def test_lp_membership_example():
     body = lp_ball(3, 2.0)
     assert contains_float(body, (-1.0, 1.0, 1.0))
     assert not contains_float(body, (2.0, 0.0, 0.0))
+    steep = lp_ball(2, 2000.0)
+    assert contains_float(steep, (1.0, 0.0))
+    assert contains_float(steep, (-1.0, 1.0))
+    assert not contains_float(steep, (2.0, 0.0))
+    assert not contains_float(steep, (0.5, -2.0))
 
 
 def test_contains_float_boundary_tolerance():
@@ -163,6 +174,59 @@ def test_membership_scaling_consistency():
         for point in oracles.rational_points(rng, n, 4, 40):
             shrunk = tuple(c / scale for c in point)
             assert contains_exact(scaled, point) == contains_exact(base, shrunk)
+
+
+def _boundary_point(rng, body):
+    """Ints and Fractions of unequal denominators with sum |c_i| = scale * n exactly."""
+    n = body.n
+    share = Fraction(body.scale)
+    point = []
+    for _ in range(n - 1):
+        d = rng.choice((1, 2, 3, 4, 7, 12))
+        point.append(share * Fraction(rng.randint(0, d), d))
+    point.append(share * n - sum(point))  # at least share, so positive
+    rng.shuffle(point)
+    if not body.nonnegative:
+        point = [c if rng.random() < 0.5 else -c for c in point]
+    return [int(c) if c.denominator == 1 and rng.random() < 0.7 else c for c in point]
+
+
+def _nudged(point, step):
+    """point with its largest |c_i| moved by step, away from zero when step > 0."""
+    i = max(range(len(point)), key=lambda j: abs(point[j]))
+    out = list(point)
+    out[i] += step if point[i] >= 0 else -step
+    return tuple(out)
+
+
+def test_contains_exact_matches_the_fraction_sum():
+    rng = random.Random(14)
+    makers = (simplex, cross_polytope,
+              lambda n, s: quarter_lp(n, 1.0, s), lambda n, s: lp_ball(n, 1.0, s))
+    verdicts = {True: 0, False: 0}
+    seen = set()  # (type, denominator) of every boundary coordinate
+    for make in makers:
+        for n in (1, 2, 3, 5):
+            for scale in (1, 3, Fraction(5, 3), Fraction(7, 12)):
+                body = make(n, scale)
+                for _ in range(15):
+                    point = _boundary_point(rng, body)
+                    seen.update((type(c), c.denominator) for c in point)
+                    den = math.lcm(*(c.denominator for c in point))
+                    assert sum(map(abs, point)) == Fraction(scale) * n
+                    cases = [(tuple(point), True), (_nudged(point, Fraction(1, den)), False),
+                             (_nudged(point, Fraction(-1, den)), True)]
+                    if body.nonnegative:
+                        # On the l1 boundary, outside by the sign rule alone.
+                        j = max(range(n), key=lambda i: point[i])
+                        flipped = tuple(-c if i == j else c for i, c in enumerate(point))
+                        cases.append((flipped, False))
+                    for y, inside in cases:
+                        assert oracles.reference_contains_exact(body, y) is inside, (body, y)
+                        assert contains_exact(body, y) is inside, (body, y)
+                        verdicts[inside] += 1
+    assert min(verdicts.values()) > 500
+    assert {int, Fraction} <= {t for t, _ in seen} and len({d for _, d in seen}) > 5
 
 
 def test_rescaled_body():

@@ -295,6 +295,10 @@ def test_verify_covering_lp_broken_witness_fails(broken_witnesses):
     report = verify_covering_lp("lp", 3, 3.0, 2, samples=20, seed=42)
     assert not report.ok
     assert report.witness_failures == 20
+    # The shifted residual's term 2.0 ** 2000 overflows a float: a failure, not a crash.
+    report = verify_covering_lp("lp", 2, 2000.0, 1, samples=20, seed=1)
+    assert not report.ok
+    assert report.witness_failures == 20
 
 
 def test_verify_covering_lp_reduces_to_exact_at_p1():
