@@ -5,8 +5,10 @@ root of the simplex count C(n+cn, n) tends to (1+c)^(1+c)/c^c, and the
 signed count m2(n, cn) is sandwiched between 2^(cn) C(n, cn) and
 2^(cn) C(n+cn, cn).  Equating these growth rates to 2 yields the
 constants c1, c3, c4 that govern how fast the 2^n-translate bounds
-approach their limits.  Threshold sequences k(n) are computed by exact
-big-integer comparison against 2^n, never by floating point.
+approach their limits.  A threshold k(n) is the largest k whose count
+fits in 2^n.  A float estimate of the log-count picks the first k the
+search probes; every k returned is certified by two exact big-integer
+comparisons, count(k) <= 2^n < count(k+1).
 """
 
 from __future__ import annotations
@@ -147,12 +149,16 @@ def a_of_t(t: float) -> float:
 
 def k_of_n_simplex(n: int) -> int:
     """Largest k with C(n+k, n) <= 2^n, by exact comparison."""
-    return _largest_k(lambda k: m1_count(n, k), _budget(n))
+    target = _budget(n)
+    start = _predict_k(lambda k: _log_comb(n + k, k), n, target)
+    return _largest_k(lambda k: m1_count(n, k), target, start)
 
 
 def k_max_crosspolytope(n: int) -> int:
     """Largest k with m2(n, k) <= 2^n, by exact comparison."""
-    return _largest_k(lambda k: m2_count_closed(n, k), _budget(n))
+    target = _budget(n)
+    start = _predict_k(lambda k: _log_delannoy(n, k), n, target)
+    return _largest_k(lambda k: m2_count_closed(n, k), target, start)
 
 
 def _budget(n: int) -> int:
@@ -161,13 +167,69 @@ def _budget(n: int) -> int:
     return 1 << n
 
 
-def _largest_k(count: Callable[[int], int], target: int) -> int:
-    # Doubling, then bisection for the last k with count(k) <= target.
-    # Precondition: count(0) <= target, so lo = hi // 2 = 0 needs no probe.
-    hi = 1
-    while count(hi) <= target:
-        hi *= 2
-    lo = hi // 2
+def _log_comb(a: int, b: int) -> float:
+    """ln C(a, b) in floats."""
+    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+
+
+def _log_delannoy(n: int, k: int) -> float:
+    """Saddle-point estimate of ln D(n, k), the log of the Delannoy sum.
+
+    With c = k/n the dominant term sits at i = x n, x = 1 + c - sqrt(1 + c^2).
+    Its exponent n phi(x), phi(x) = x ln 2 + H(x) + c H(x/c) with H the
+    natural-log entropy, less half the log of 2 pi n |phi''| x^2 (1-x)(1-x/c),
+    where |phi''| = 1/(x(1-x)) + c/(x(c-x)), gives the sum.
+    """
+    if k == 0:
+        return 0.0
+    c = k / n
+    # 1 + c - sqrt(1 + c^2), the smaller root of x^2 - 2(1+c) x + 2c, taken
+    # as the product 2c of the roots over the larger one: no cancellation,
+    # so x < c holds in floats for small c too.
+    x = 2.0 * c / (1.0 + c + math.sqrt(1.0 + c * c))
+    phi = x * math.log(2.0) + _entropy(x) + c * _entropy(x / c)
+    curvature = 1.0 / (x * (1.0 - x)) + c / (x * (c - x))
+    return n * phi - 0.5 * math.log(
+        2.0 * math.pi * n * curvature * x * x * (1.0 - x) * (1.0 - x / c))
+
+
+def _entropy(q: float) -> float:
+    return -q * math.log(q) - (1.0 - q) * math.log1p(-q)
+
+
+def _predict_k(log_count: Callable[[int], float], n: int, target: int) -> int:
+    # Bisection for the largest k in [0, n] with log_count(k) <= ln(target);
+    # log_count is a float estimate, so the result only seeds _largest_k.
+    log_target = math.log(target)
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if log_count(mid) <= log_target else (lo, mid - 1)
+    return lo
+
+
+def _largest_k(count: Callable[[int], int], target: int, start: int = 0) -> int:
+    # A k with count(k) <= target < count(k+1).  Precondition:
+    # count(0) <= target, so k = 0 needs no probe.  Invariant:
+    # count(lo) <= target < count(hi).  The gallop sets it up from start,
+    # probing start + 1, + 2, + 4, ... while the count fits, or start - 1,
+    # - 2, - 4, ... while it exceeds; the bisection keeps it until
+    # hi = lo + 1.  A wrong start costs probes, never the certificate.
+    # From start = 0 the probes are 1, 2, 4, ..., then the bisection of
+    # [hi // 2, hi]: the doubling search k2's bracket argument relies on.
+    step = 1
+    if start == 0 or count(start) <= target:
+        lo = start
+        while count(start + step) <= target:
+            lo = start + step
+            step *= 2
+        hi = start + step
+    else:
+        hi = start
+        while start - step > 0 and count(start - step) > target:
+            hi = start - step
+            step *= 2
+        lo = max(start - step, 0)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if count(mid) <= target else (lo, mid)
@@ -181,12 +243,13 @@ def k1_k2_of_n(n: int) -> tuple[int, int]:
     """
     target = _budget(n)
     # 2^k C(n+k, k) grows by the factor 2(n+k+1)/(k+1) > 1 at each step.
-    k1 = _largest_k(lambda k: (1 << k) * m1_count(n, k), target)
+    start = _predict_k(lambda k: k * math.log(2.0) + _log_comb(n + k, k), n, target)
+    k1 = _largest_k(lambda k: (1 << k) * m1_count(n, k), target, start)
     # 2^k C(n, k) rises while k < (2n-1)/3, then falls back to exactly 2^n at
     # k = n; any k > n reads as "exceeds".  For n >= 3 it first exceeds 2^n on
-    # the rise, at k2 < n/2, so the doubling stops at a power of two <= 2 k2 < n
-    # and never probes the fall.  For n = 1, 2 it never exceeds 2^n (at n = 2
-    # the terms are 1, 4, 4), and the search returns n.
+    # the rise, at k2 < n/2, so the doubling from start = 0 stops at a power
+    # of two <= 2 k2 < n and never probes the fall.  For n = 1, 2 it never
+    # exceeds 2^n (at n = 2 the terms are 1, 4, 4), and the search returns n.
     k2 = _largest_k(lambda k: (1 << k) * math.comb(n, k) if k <= n else target + 1, target)
     return k1, k2
 

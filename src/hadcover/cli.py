@@ -110,6 +110,8 @@ def _cmd_constants(args) -> int:
 
 def _cmd_converge(args) -> int:
     n_list = [int(part) for part in args.n_list.split(",") if part]
+    if not n_list:
+        raise ValueError("--n-list must name at least one dimension")
     rows = asymptotics.convergence_table(args.body, n_list, args.p)
     record = {
         "family": args.body,

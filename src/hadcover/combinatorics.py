@@ -12,8 +12,8 @@ Two families of translation sets drive every covering construction here:
   run with one term updated by the ratio ``2(n-i)(k-i) / (i+1)^2``.
 
 All counts are plain Python integers, so arithmetic is exact at any
-magnitude; threshold searches against ``2**n`` never touch floating
-point.
+magnitude, and so is every comparison a threshold search makes against
+``2**n``.
 """
 
 from __future__ import annotations

@@ -151,6 +151,25 @@ def reference_k2(n):
     return k2
 
 
+def reference_largest_k(count, target):
+    """Last k with count(k) <= target, by doubling from k = 1, then bisection.
+
+    Probes k = 1, 2, 4, ... until count(hi) > target, then bisects
+    [hi // 2, hi].  count(0) <= target is assumed and never probed.
+    """
+    hi = 1
+    while count(hi) <= target:
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if count(mid) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def recursive_count_m1(n, k):
     """Same set as box_count_m1 counted by budget recursion.
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hadcover import asymptotics
 from hadcover.asymptotics import (
     a_of_t,
     convergence_table,
@@ -161,6 +162,71 @@ def test_k2_matches_the_linear_scan():
     edges = {2**j + d for j in range(1, 15) for d in (-1, 0, 1)}
     for n in sorted(set(range(1, 1201)) | edges):
         assert k1_k2_of_n(n)[1] == oracles.reference_k2(n), n
+
+
+# n in 1..2000 and the powers of two with their neighbours up to 2^14.
+SEARCH_NS = sorted(set(range(1, 2001)) | {2**j + d for j in range(1, 15) for d in (-1, 0, 1)})
+
+
+def _k1_count(n):
+    return lambda k: (1 << k) * m1_count(n, k)
+
+
+def _k2_count(n):
+    return lambda k: (1 << k) * math.comb(n, k) if k <= n else (1 << n) + 1
+
+
+def _recorded(count, probes):
+    # Records k, the last argument of every call.
+    def probe(*args):
+        probes.append(args[-1])
+        return count(*args)
+    return probe
+
+
+def test_thresholds_match_the_doubling_search():
+    for n in SEARCH_NS:
+        cap = 1 << n
+        want_k = oracles.reference_largest_k(lambda k: m1_count(n, k), cap)
+        want_kmax = oracles.reference_largest_k(lambda k: m2_count_closed(n, k), cap)
+        want_k12 = (oracles.reference_largest_k(_k1_count(n), cap),
+                    oracles.reference_largest_k(_k2_count(n), cap))
+        assert k_of_n_simplex(n) == want_k, n
+        assert k_max_crosspolytope(n) == want_kmax, n
+        assert k1_k2_of_n(n) == want_k12, n
+
+
+def test_largest_k_is_exact_from_every_start():
+    for n in (1, 2, 3, 11, 64, 257):
+        cap = 1 << n
+        for count in (lambda k: m1_count(n, k), lambda k: m2_count_closed(n, k), _k1_count(n)):
+            k = oracles.reference_largest_k(count, cap)
+            for start in range(2 * k + 6):
+                assert asymptotics._largest_k(count, cap, start) == k, (n, start)
+
+
+def test_largest_k_from_zero_probes_like_the_doubling_search():
+    # k2's bracket argument needs exactly these probes: the doubling from
+    # k = 1 stops on the rise of 2^k C(n, k), before its fall back to 2^n.
+    for n in (1, 2, 3, 4, 5, 11, 64, 255, 256, 257, 1024):
+        cap = 1 << n
+        for count in (lambda k: m1_count(n, k), lambda k: m2_count_closed(n, k),
+                      _k1_count(n), _k2_count(n)):
+            got, want = [], []
+            k = asymptotics._largest_k(_recorded(count, got), cap)
+            assert k == oracles.reference_largest_k(_recorded(count, want), cap)
+            assert got == want, n
+
+
+@pytest.mark.parametrize("name, threshold", [
+    ("m1_count", k_of_n_simplex), ("m2_count_closed", k_max_crosspolytope)])
+def test_predicted_start_costs_two_probes(monkeypatch, name, threshold):
+    probes = []
+    monkeypatch.setattr(asymptotics, name, _recorded(getattr(asymptotics, name), probes))
+    for n in (1024, 2048, 4096, 8192, 2**14):
+        probes.clear()
+        k = threshold(n)
+        assert probes == [k, k + 1], n
 
 
 def test_threshold_ratio_approaches_root():

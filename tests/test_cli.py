@@ -105,6 +105,12 @@ def test_converge_csv(capsys):
     assert lines[2].startswith("4,2,0.5,")
 
 
+def test_converge_without_dimensions_exits_2(capsys):
+    for n_list in ("", ",", ",,"):
+        assert run_cli(capsys, "converge", "--body", "simplex", "--n-list", n_list) == (
+            2, "", "error: --n-list must name at least one dimension\n"), n_list
+
+
 def test_verify_cover_ok(capsys):
     code, out, _ = run_cli(capsys, "verify-cover", "--body", "crosspolytope",
                            "--n", "2", "--k", "1", "--samples", "40")
@@ -158,6 +164,7 @@ def test_domain_errors_exit_2(capsys):
         "tnpk --n 2 --p inf --k 2",
         "converge --body lp --n-list 5 --p nan",
         "converge --body simplex --n-list 5 --p 2",
+        "converge --body simplex --n-list ,,",
         "gamma-bound --body simplex --n 5 --k 1 --p 2",
         "rz-bound --n 2000 --r 0.001",
         "rz-bound --n 10 --r 5e-324",
