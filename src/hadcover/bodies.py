@@ -16,7 +16,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence, Union
 
 SIMPLEX = "simplex"
 CROSSPOLYTOPE = "crosspolytope"
@@ -127,13 +128,14 @@ def _exact_magnitudes(body: BodySpec, point: Sequence) -> tuple[int, list[int]] 
     if not body.is_polytopal:
         raise ValueError("exact membership needs a polytopal body (p = 1)")
     _check_dim(body, point)
-    if not all(isinstance(c, (int, Fraction)) for c in point):
+    if not all(map(isinstance, point, repeat((int, Fraction)))):
         raise ValueError("exact coordinates must be int or Fraction")
     if body.nonnegative and any(c.numerator < 0 for c in point):
         return None
     den = math.lcm(*(c.denominator for c in point))
     mags = [abs(c.numerator) * (den // c.denominator) for c in point]
-    return (den, mags) if Fraction(sum(mags), den) <= body.bound else None
+    bound = body.bound
+    return (den, mags) if sum(mags) * bound.denominator <= bound.numerator * den else None
 
 
 def contains_float(body: BodySpec, point: Sequence[float]) -> bool:
@@ -150,7 +152,7 @@ def contains_float(body: BodySpec, point: Sequence[float]) -> bool:
     if not all(map(math.isfinite, coords)):
         raise ValueError("coordinates must be finite")
     try:
-        return _float_inside(body, coords, (abs(c) ** body.p for c in coords))
+        return _float_inside(body, coords, map(pow, map(abs, coords), repeat(body.p)))
     except OverflowError:
         return False
 
@@ -197,13 +199,14 @@ def sample_boundary(body: BodySpec, count: int, seed: int) -> list[tuple]:
     80% of the samples land in the outermost slab of the defining sum
     (width min(1, range/n), the region where covering arguments are
     nontrivial); the rest spread uniformly in depth.  Polytopal bodies
-    yield exact rational points, curved ones float points.
+    yield exact rational points, each target sum drawn as an integer
+    numerator over a fixed denominator; curved ones yield float points.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = random.Random(seed)
     if body.is_polytopal:
-        return [_sample_exact(body, rng) for _ in range(count)]
+        return list(_sample_exact(body, rng, count))
     return [_sample_float(body, rng) for _ in range(count)]
 
 
@@ -212,29 +215,27 @@ def _shell_floor(total: Scale, n: int) -> Scale:
     return max(total - 1, total * (n - 1) / n)
 
 
-def _sample_exact(body: BodySpec, rng: random.Random) -> tuple:
-    n = body.n
-    d = _SAMPLE_DENOMINATOR
-    bound = body.bound
-    if rng.random() < _SHELL_BIAS:
-        lo = _shell_floor(bound, n)
-        target = lo + (bound - lo) * Fraction(rng.randint(1, d), d)
-    else:
-        target = bound * Fraction(rng.randint(0, d), d)
-    while True:
-        weights = [rng.randint(0, d) for _ in range(n)]
-        total = sum(weights)
-        if total > 0:
-            break
-    num, den = target.numerator, target.denominator * total
-    return tuple(Fraction(num * w if body.nonnegative or rng.random() < 0.5 else -num * w, den)
-                 for w in weights)
+def _sample_exact(body: BodySpec, rng: random.Random, count: int) -> Iterator[tuple]:
+    # bound = b/q, lo = l/q: lo + (bound - lo)*r/d is (l*d + (b - l)*r)/(q*d).
+    n, d, signed = body.n, _SAMPLE_DENOMINATOR, not body.nonnegative
+    bound, lo = body.bound, _shell_floor(body.bound, n)
+    q = math.lcm(bound.denominator, lo.denominator)
+    b, l = bound.numerator * (q // bound.denominator), lo.numerator * (q // lo.denominator)
+    for _ in range(count):
+        shell = rng.random() < _SHELL_BIAS
+        num = l * d + (b - l) * rng.randint(1, d) if shell else b * rng.randint(0, d)
+        while True:
+            weights = [rng.randint(0, d) for _ in range(n)]
+            total = sum(weights)
+            if total > 0:
+                break
+        den = q * d * total
+        yield tuple(Fraction(-num * w if signed and rng.random() >= 0.5 else num * w, den)
+                    for w in weights)
 
 
 def _sample_float(body: BodySpec, rng: random.Random) -> tuple:
-    n = body.n
-    p = body.p
-    bound = body.bound
+    n, p, bound = body.n, body.p, body.bound
     if rng.random() < _SHELL_BIAS:
         lo = _shell_floor(bound, n)
         target = lo + (bound - lo) * rng.random()
@@ -247,11 +248,11 @@ def _sample_float(body: BodySpec, rng: random.Random) -> tuple:
             break
     # With the largest weight at 1 the power sum is >= 1 at any p.
     weights = [w / top for w in weights]
-    factor = (target / sum(w**p for w in weights)) ** (1.0 / p)
+    factor = (target / sum(map(pow, weights, repeat(p)))) ** (1.0 / p)
     coords = [factor * w for w in weights]
     # One ulp of factor scales the power sum by about exp(p * 2**-52),
     # past any tolerance at large p: step down until the point is inside.
-    while sum(c**p for c in coords) > bound:
+    while sum(map(pow, coords, repeat(p))) > bound:
         factor = math.nextafter(factor, 0.0)
         coords = [factor * w for w in weights]
     if not body.nonnegative:

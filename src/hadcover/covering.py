@@ -15,6 +15,7 @@ import functools
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence, Union
 
 from . import asymptotics, bodies, lattice_sets
@@ -82,12 +83,18 @@ class CoveringReport:
 
 def decompose_simplex(n: int, k: int, y: Sequence) -> WitnessDecomposition:
     """Split y in ((n+k)/n) * simplex as z + residual with z in M1(n, k)."""
-    return _decompose(_inflated(bodies.simplex(n), k), y)
+    return _decompose(_scaled(_inflated, SIMPLEX, n, k), y)
 
 
 def decompose_crosspolytope(n: int, k: int, y: Sequence) -> WitnessDecomposition:
     """Split y in ((n+k)/n) * cross-polytope as z + residual, z in M2(n, k)."""
-    return _decompose(_inflated(bodies.cross_polytope(n), k), y)
+    return _decompose(_scaled(_inflated, CROSSPOLYTOPE, n, k), y)
+
+
+@functools.lru_cache(maxsize=8)
+def _scaled(inflate, family: str, n: int, k: int) -> BodySpec:
+    """inflate(BodySpec(family, n), k); keyed on inflate, so no patch reads a stale body."""
+    return inflate(BodySpec(family, n), k)
 
 
 def _decompose(scaled: BodySpec, y: Sequence) -> WitnessDecomposition:
@@ -99,25 +106,27 @@ def _decompose(scaled: BodySpec, y: Sequence) -> WitnessDecomposition:
     and leaves the residual inside the normalized body.  Each z_i takes
     the sign of y_i.  The arithmetic is on the integers |y_i| * D, D the
     lcm denominator, that bodies._exact_magnitudes decided membership
-    on, and the residual subtracts only where z_i != 0.
+    on.  The scan stops at a spent budget and writes only where z_i != 0.
     """
     inside = bodies._exact_magnitudes(scaled, y)
     if inside is None:
         raise ValueError(f"point lies outside the scaled {scaled.family}")
     den, mags = inside
     needed = max(0, -(-sum(mags) // den) - scaled.n)
-    z = []
-    remaining = needed
-    for c, m in zip(y, mags):
+    z, residual, remaining = [0] * scaled.n, list(y), needed
+    for i, m in enumerate(mags):
+        if not remaining:
+            break
         take = min(m // den, remaining)
-        z.append(take if c.numerator >= 0 else -take)
-        remaining -= take
+        if take:
+            z[i] = take if y[i].numerator >= 0 else -take
+            residual[i] -= z[i]
+            remaining -= take
     if remaining:
         # The shell argument guarantees enough integer mass; reaching
         # here means the decomposition itself is broken.
         raise AssertionError("floor sum below required budget")
-    residual = tuple(c - w if w else c for c, w in zip(y, z))
-    return WitnessDecomposition(tuple(z), residual, needed)
+    return WitnessDecomposition(tuple(z), tuple(residual), needed)
 
 
 def _translation_set(body: BodySpec, k: int) -> LatticeSetSpec:
@@ -239,7 +248,7 @@ def _peel(base: BodySpec, n: int, k: int, y: Sequence[float]) -> WitnessDecompos
     z = [0] * n
     moves = 0
     mags = [abs(float(c)) for c in x]
-    terms = [m ** base.p for m in mags]
+    terms = list(map(pow, mags, repeat(base.p)))
     while moves < k and not bodies._float_inside(base, x, terms):
         i = mags.index(max(mags))
         step = 1 if x[i] >= 0 else -1

@@ -61,8 +61,8 @@ def member(spec: LatticeSetSpec, z: Sequence[int]) -> bool:
     if len(z) != spec.n:
         raise ValueError(f"point has dimension {len(z)}, set needs {spec.n}")
     if spec.kind == M1:
-        return all(c >= 0 for c in z) and sum(z) <= spec.k
-    return sum(abs(c) for c in z) <= spec.k
+        return min(z) >= 0 and sum(z) <= spec.k
+    return sum(map(abs, z)) <= spec.k
 
 
 def count(spec: LatticeSetSpec) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -267,6 +268,34 @@ def test_sampling_is_deterministic():
         (-0.6026363365657593, -0.48909295313604306, 1.6137345542713255),
         (0.7015101711930984, -1.6214560850610507, -0.08514190022306795),
     ]
+
+
+# sha256 of repr([sample_boundary(body, 40, seed=body.n), ...]) over
+# n = 1, 7, 20 and scales 2, 27/20 and 9/10 (the last puts the shell
+# floor on its (n-1)/n branch), as the sampler drew them when every
+# target was a Fraction sum.  Any change to a sampled value or to the
+# order of the random draws shows here.
+SAMPLE_DIGESTS = {
+    ("simplex", 1.0): "2649a84750a7c2f60439431e22020e4ad8d5ba422e9e8ccf64f7ad0fee541db8",
+    ("crosspolytope", 1.0): "b0792b3b4214fa1c50369e3143e5122a552dfa659944933f39acda5697c212a5",
+    ("qlp", 2.5): "442a2ba71be72bf047d16d8aef7bf818eb5d37e21d590c0534116ceecc2de1a3",
+    ("lp", 2.5): "0bf1eaa790febc406e455d3c2db9b4fbb1bf2f47d815df4d47857bd7999d57c6",
+}
+STEEP_SAMPLE_DIGEST = "556138ad85e0740da179c6fdd7a3ddd4cf0599dbbbd7ea24445b07b6c1bb8fd1"
+
+
+def _sample_digest(bodies):
+    samples = [sample_boundary(body, 40, body.n) for body in bodies]
+    return hashlib.sha256(repr(samples).encode()).hexdigest()
+
+
+def test_sample_stream_is_pinned():
+    for (family, p), expected in SAMPLE_DIGESTS.items():
+        bodies = [BodySpec(family, n, p, scale) for n in (1, 7, 20)
+                  for scale in (2, Fraction(27, 20), Fraction(9, 10))]
+        assert _sample_digest(bodies) == expected, family
+    # At p = 1100 the power sums underflow and the factor steps down.
+    assert _sample_digest([lp_ball(2, 1100.0)]) == STEEP_SAMPLE_DIGEST
 
 
 def test_samples_stay_inside_exact_bodies():

@@ -212,6 +212,26 @@ def test_translate_sweep_counts_escaping_vertices(monkeypatch):
             assert not report.ok
 
 
+def test_decomposers_follow_an_undone_inflation_patch(monkeypatch):
+    # The decomposers build their inflated body once per (family, n, k);
+    # a body built under a patched _inflated must not outlive the patch.
+    n, k = 3, 2
+    for family, decompose, y in (
+        ("simplex", decompose_simplex, (Fraction(5, 2), Fraction(3, 2), 1)),
+        ("crosspolytope", decompose_crosspolytope, (Fraction(-5, 2), Fraction(3, 2), -1)),
+    ):
+        assert sum(map(abs, y)) == n + k  # on the boundary of the true body
+        with monkeypatch.context() as patch:
+            patch.setattr(covering, "_inflated",
+                          lambda base, k: base.rescaled(Fraction(base.n + k - 1, base.n)))
+            assert decompose(n, k, (1, 1, 1)).z == (0, 0, 0)
+            with pytest.raises(ValueError, match="outside"):
+                decompose(n, k, y)
+        w = decompose(n, k, y)
+        assert w.shell_level == k
+        assert bodies.contains_exact(bodies.BodySpec(family, n), w.residual)
+
+
 def test_report_serialization():
     report = verify_covering_exact("simplex", 2, 1, samples=20, seed=8)
     data = report.to_dict()

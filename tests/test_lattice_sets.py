@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from hadcover.lattice_sets import LatticeSetSpec, count, enumerate_points, member
@@ -49,6 +51,17 @@ def test_member_examples():
     assert not member(LatticeSetSpec("m1", 3, 2), (2, 0, 1))
     assert member(LatticeSetSpec("m2", 3, 2), (1, -1, 0))
     assert not member(LatticeSetSpec("m2", 3, 2), (1, -1, 1))
+
+
+def test_member_matches_the_enumerated_set():
+    # Every z of the box [-k-1, k+1]^n, one step past the set on each side.
+    for kind in ("m1", "m2"):
+        for n in range(1, 4):
+            for k in range(4):
+                spec = LatticeSetSpec(kind, n, k)
+                points = set(enumerate_points(spec))
+                for z in itertools.product(range(-k - 1, k + 2), repeat=n):
+                    assert member(spec, z) == (z in points), (spec, z)
 
 
 def test_m1_is_subset_of_m2():
