@@ -3,7 +3,8 @@
 Output is deterministic: identical invocations produce byte-identical
 output.  Counts print as decimal strings, exact rationals as num/den,
 floats as their shortest round-trip repr.  Exit status 0 on success,
-1 when a covering verification fails, 2 on invalid input.
+1 when a covering verification fails, 2 on invalid input, 141 when
+the reader closes stdout before the output ends.
 """
 
 from __future__ import annotations
@@ -11,13 +12,17 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
+import os
 import sys
 
 from . import asymptotics, covering, lattice_sets
 from .bodies import FAMILIES, LP, QUARTER_LP
 
 FORMATS = ("plain", "json", "csv")
+# Lines per write of a plain listing: one write per block, memory bounded by one block.
+_BLOCK = 4096
 # verify-cover's --p when omitted; simplex and crosspolytope are p = 1 bodies.
 _DEFAULT_P = {QUARTER_LP: 2.0, LP: 2.0}
 
@@ -32,7 +37,8 @@ def _render(fmt: str, record: dict, rows=None, lines=None) -> None:
     json prints the record; csv prints the header-first rows, or the
     plain lines when the command has no table; plain prints the lines,
     by default one ``key = value`` line per record item.  Lines may be a
-    generator, so long listings stream.
+    generator; they are written in blocks of _BLOCK, so long listings
+    stream, with the bytes of one ``print`` per line.
     """
     if fmt == "json":
         print(json.dumps(record, sort_keys=True, separators=(",", ":")))
@@ -41,8 +47,9 @@ def _render(fmt: str, record: dict, rows=None, lines=None) -> None:
     else:
         if lines is None:
             lines = (f"{key} = {_scalar(value)}" for key, value in record.items())
-        for line in lines:
-            print(line)
+        lines = map(str, lines)
+        while block := list(itertools.islice(lines, _BLOCK)):
+            sys.stdout.write("\n".join(block) + "\n")
 
 
 def _cmd_count(args) -> int:
@@ -58,8 +65,9 @@ def _cmd_enumerate(args) -> int:
     points = lattice_sets.enumerate_points(spec)
     record = {"set": args.set, "n": args.n, "k": args.k}
     if args.format == "json":
-        record["points"] = [list(z) for z in points]
-    _render(args.format, record, lines=(",".join(str(c) for c in z) for z in points))
+        record["points"] = list(points)  # json encodes a tuple as a list
+    template = ",".join(["%d"] * args.n)
+    _render(args.format, record, lines=(template % z for z in points))
     return 0
 
 
@@ -193,10 +201,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at interpreter exit
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader left (`| head`): exit as SIGPIPE would, 128 + 13, and
+        # point stdout at devnull so the interpreter's final flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -22,6 +22,11 @@ from . import asymptotics, bodies, lattice_sets
 from .bodies import BodySpec, CROSSPOLYTOPE, LP, SIMPLEX
 from .lattice_sets import LatticeSetSpec
 
+# Most checks one verification may start: |M|·|V| translate vertices
+# plus samples·n sampled coordinates.  The sweep checks about 3.7
+# million vertices per second, so this is about 30 s.
+MAX_CHECKS = 10**8
+
 
 @dataclass(frozen=True)
 class WitnessDecomposition:
@@ -176,13 +181,23 @@ def _verify(base: BodySpec, k: int, samples: int, seed: int) -> CoveringReport:
     translate vertex z + c*e_i is checked in integers at O(1) from the
     l1 sum of z (symmetric bodies) or its coordinate sum and count of
     negative coordinates (nonnegative bodies).  Module functions are
-    looked up at call time, so wrappers see them.
+    looked up at call time, so wrappers see them.  Before any of this,
+    a run of more than MAX_CHECKS checks (translate vertices, from the
+    exact count of the translation set, plus samples times n) is refused.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     spec = _translation_set(base, k)
-    scaled = _inflated(base, k)
     n = base.n
+    # len(bodies.axis_vertices(base)), without building the list.
+    vertices = (n + 1 if base.nonnegative else 2 * n) if base.is_polytopal else 0
+    translates = lattice_sets.count(spec) if vertices else 0
+    checks = translates * vertices + samples * n
+    if checks > MAX_CHECKS:
+        sweep = f"{translates} translates x {vertices} vertices + " if vertices else ""
+        raise ValueError(f"verification needs {checks} checks ({sweep}{samples} samples "
+                         f"x n = {n}), over the budget of {MAX_CHECKS}")
+    scaled = _inflated(base, k)
     report = CoveringReport(
         kind=f"{spec.kind}-{base.family}", n=n, k=k, p=base.p, samples=samples, seed=seed
     )
@@ -221,14 +236,17 @@ def _sweep(base: BodySpec, scaled: BodySpec, spec: LatticeSetSpec) -> tuple[int,
     limit = math.floor(scaled.bound)
     steps = bodies.axis_vertices(base)
     checked = failures = 0
-    for z in lattice_sets.enumerate_points(spec):
-        checked += 1
-        if base.nonnegative:
+    points = lattice_sets.enumerate_points(spec)
+    if base.nonnegative:
+        for z in points:
+            checked += 1
             total = sum(z)
             negatives = sum(1 for x in z if x < 0)
             failures += sum(1 for i, c in steps if total + c > limit
                             or negatives - (z[i] < 0) + (z[i] + c < 0))
-        else:
+    else:
+        for z in points:
+            checked += 1
             slack = limit - sum(map(abs, z))
             failures += sum(1 for i, c in steps if abs(z[i] + c) - abs(z[i]) > slack)
     return checked, failures

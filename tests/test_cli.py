@@ -1,11 +1,15 @@
 import argparse
+import contextlib
 import gc
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+import oracles
+from hadcover import cli
 from hadcover.cli import build_parser, main
 
 
@@ -173,6 +177,7 @@ def test_domain_errors_exit_2(capsys):
         "verify-cover --body simplex --n 2 --k 1 --p nan --samples 5",
         "verify-cover --body crosspolytope --n 2 --k 1 --p 7 --samples 5",
         "verify-cover --body lp --n 3 --k 3 --p 1e16 --samples 50",
+        "verify-cover --body crosspolytope --n 50 --k 10 --samples 1",
     ):
         code, out, err = run_cli(capsys, *argv.split())
         assert code == 2, argv
@@ -251,3 +256,72 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "681\n"
+
+
+def _printed(lines):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for line in lines:
+            print(line)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("size", [1, 4095, 4096, 4097, 8193])
+def test_render_writes_the_bytes_of_one_print_per_line(size):
+    lines = [i if i % 3 else f"line {i}" for i in range(size)]
+    for fmt in ("plain", "csv"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._render(fmt, {}, lines=iter(lines))
+        assert out.getvalue() == _printed(lines)
+
+
+def test_render_streams_one_block_at_a_time(monkeypatch):
+    pulled, writes = [], []
+
+    def lines():
+        for i in range(8193):
+            pulled.append(i)
+            yield i
+
+    class Stdout:
+        def write(self, text):
+            writes.append((len(pulled), text.count("\n")))
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    cli._render("plain", {}, lines=lines())
+    assert writes == [(4096, 4096), (8192, 4096), (8193, 1)]
+
+
+def test_enumerate_matches_a_reference_rendering(capsys):
+    boxes = {"m1": oracles.box_points_m1, "m2": oracles.box_points_m2}
+    for kind, box in boxes.items():
+        for n in range(1, 5):
+            for k in range(5):
+                points = box(n, k)
+                plain = "".join(",".join(map(str, z)) + "\n" for z in points)
+                record = {"set": kind, "n": n, "k": k, "points": [list(z) for z in points]}
+                expected = {
+                    "plain": plain,
+                    "csv": plain,
+                    "json": json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n",
+                }
+                for fmt, want in expected.items():
+                    argv = ("enumerate", "--set", kind, "--n", str(n), "--k", str(k),
+                            "--format", fmt)
+                    assert run_cli(capsys, *argv) == (0, want, ""), argv
+
+
+def test_closed_pipe_exits_141_quietly():
+    # 125,970 lines, far more than a pipe buffer holds, so the writer
+    # is still writing when the reader leaves.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hadcover", "enumerate", "--set", "m1", "--n", "8",
+         "--k", "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"0,0,0,0,0,0,0,0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from hadcover.bodies import FAMILIES, TOL
 from hadcover.cli import FORMATS, main
+from hadcover.covering import MAX_CHECKS
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
 
@@ -55,7 +56,7 @@ ANY_ARGV = st.one_of(
     st.builds(_argv, st.just("enumerate"), set=lattice_set, n=small_n, k=small_k,
               format=fmt),
     st.builds(_argv, st.just("verify-cover"), body=body, n=small_n, k=small_k,
-              p=_optional(floats), samples=_optional(st.integers(-1, 20)),
+              p=_optional(floats), samples=_optional(st.integers(-1, 20) | st.just(10**9)),
               seed=_optional(st.integers()), format=fmt),
     st.builds(_argv, st.just("gamma-bound"), body=body, n=ints, k=ints,
               p=_optional(floats), format=fmt),
@@ -124,3 +125,21 @@ def test_verify_cover_past_the_scale_bound_exits_2(argv):
     code, out, err = run(argv)
     assert (code, out) == (2, ""), (argv, out, err)
     assert err.startswith("error: p = ") and err.count("\n") == 1, err
+
+
+# Past MAX_CHECKS (translate vertices plus samples times n) verify-cover
+# is refused before any work: by the sweep of a large exact covering,
+# or by the samples of any body.
+@SETTINGS
+@given(st.one_of(
+    st.builds(_argv, st.just("verify-cover"), body=st.sampled_from(("simplex", "crosspolytope")),
+              n=st.integers(20, 10**4), k=st.integers(10, 1000),
+              samples=_optional(st.integers(1, 20)), format=fmt),
+    st.builds(_argv, st.just("verify-cover"), body=body, n=st.integers(1, 100),
+              k=st.integers(0, 3), samples=st.integers(MAX_CHECKS + 1, 10**12), format=fmt),
+))
+def test_verify_cover_over_the_check_budget_exits_2(argv):
+    code, out, err = run(argv)
+    assert (code, out) == (2, ""), (argv, out, err)
+    assert err.startswith("error: verification needs ") and err.count("\n") == 1, err
+    assert err.endswith(f"over the budget of {MAX_CHECKS}\n"), err

@@ -212,6 +212,30 @@ def test_translate_sweep_counts_escaping_vertices(monkeypatch):
             assert not report.ok
 
 
+def test_check_budget_is_exact_and_refuses_before_any_work(monkeypatch):
+    # M2(2, 1) has 5 translates and the cross-polytope 4 vertices: 20
+    # sweep checks plus 5 samples x n = 2 is 30.  A curved body has no
+    # sweep, so only its 5 x 2 sample checks count.
+    monkeypatch.setattr(covering, "MAX_CHECKS", 30)
+    assert verify_covering_exact("crosspolytope", 2, 1, samples=5, seed=1).ok
+    assert verify_covering_lp("lp", 2, 2.0, 1, samples=15, seed=1).ok
+    monkeypatch.setattr(covering, "MAX_CHECKS", 29)
+
+    def no_work(*args):
+        raise AssertionError("sampled before the budget check")
+
+    monkeypatch.setattr(bodies, "sample_boundary", no_work)
+    with pytest.raises(ValueError, match=r"^verification needs 30 checks \(5 translates "
+                       r"x 4 vertices \+ 5 samples x n = 2\), over the budget of 29$"):
+        verify_covering_exact("crosspolytope", 2, 1, samples=5, seed=1)
+    with pytest.raises(ValueError, match=r"^verification needs 30 checks \(15 samples "
+                       r"x n = 2\), over the budget of 29$"):
+        verify_covering_lp("lp", 2, 2.0, 1, samples=15, seed=1)
+    # M1(3, 2) has 10 translates and the simplex 4 vertices.
+    with pytest.raises(ValueError, match=r"^verification needs 43 checks \(10 translates"):
+        verify_covering_exact("simplex", 3, 2, samples=1, seed=1)
+
+
 def test_decomposers_follow_an_undone_inflation_patch(monkeypatch):
     # The decomposers build their inflated body once per (family, n, k);
     # a body built under a patched _inflated must not outlive the patch.
