@@ -8,7 +8,10 @@ constants c1, c3, c4 that govern how fast the 2^n-translate bounds
 approach their limits.  A threshold k(n) is the largest k whose count
 fits in 2^n.  A float estimate of the log-count picks the first k the
 search probes; every k returned is certified by two exact big-integer
-comparisons, count(k) <= 2^n < count(k+1).
+comparisons, count(k) <= 2^n < count(k+1).  Where a count has an exact
+step ratio (the simplex and k1), the neighbour of a known count comes
+from one big-by-small multiply and divide, so a correct estimate costs
+one full count.
 """
 
 from __future__ import annotations
@@ -151,7 +154,8 @@ def k_of_n_simplex(n: int) -> int:
     """Largest k with C(n+k, n) <= 2^n, by exact comparison."""
     target = _budget(n)
     start = _predict_k(lambda k: _log_comb(n + k, k), n, target)
-    return _largest_k(lambda k: m1_count(n, k), target, start)
+    # C(n+k+1, k+1) = C(n+k, k) (n+k+1) / (k+1).
+    return _largest_k(lambda k: m1_count(n, k), target, start, lambda k: (n + k + 1, k + 1))
 
 
 def k_max_crosspolytope(n: int) -> int:
@@ -208,7 +212,8 @@ def _predict_k(log_count: Callable[[int], float], n: int, target: int) -> int:
     return lo
 
 
-def _largest_k(count: Callable[[int], int], target: int, start: int = 0) -> int:
+def _largest_k(count: Callable[[int], int], target: int, start: int = 0,
+               ratio: Callable[[int], tuple[int, int]] | None = None) -> int:
     # A k with count(k) <= target < count(k+1).  Precondition:
     # count(0) <= target, so k = 0 needs no probe.  Invariant:
     # count(lo) <= target < count(hi).  The gallop sets it up from start,
@@ -217,22 +222,37 @@ def _largest_k(count: Callable[[int], int], target: int, start: int = 0) -> int:
     # hi = lo + 1.  A wrong start costs probes, never the certificate.
     # From start = 0 the probes are 1, 2, 4, ..., then the bisection of
     # [hi // 2, hi]: the doubling search k2's bracket argument relies on.
+    # With ratio(k) = (num, den), count(k+1) = count(k) * num / den
+    # exactly, and a probe next to a known count is derived from it.
+    known = {}
+
+    def fits(k: int) -> bool:
+        if ratio and k - 1 in known:
+            num, den = ratio(k - 1)
+            known[k] = known[k - 1] * num // den
+        elif ratio and k + 1 in known:
+            num, den = ratio(k)
+            known[k] = known[k + 1] * den // num
+        else:
+            known[k] = count(k)
+        return known[k] <= target
+
     step = 1
-    if start == 0 or count(start) <= target:
+    if start == 0 or fits(start):
         lo = start
-        while count(start + step) <= target:
+        while fits(start + step):
             lo = start + step
             step *= 2
         hi = start + step
     else:
         hi = start
-        while start - step > 0 and count(start - step) > target:
+        while start - step > 0 and not fits(start - step):
             hi = start - step
             step *= 2
         lo = max(start - step, 0)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if count(mid) <= target else (lo, mid)
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
     return lo
 
 
@@ -244,12 +264,14 @@ def k1_k2_of_n(n: int) -> tuple[int, int]:
     target = _budget(n)
     # 2^k C(n+k, k) grows by the factor 2(n+k+1)/(k+1) > 1 at each step.
     start = _predict_k(lambda k: k * math.log(2.0) + _log_comb(n + k, k), n, target)
-    k1 = _largest_k(lambda k: (1 << k) * m1_count(n, k), target, start)
+    k1 = _largest_k(lambda k: (1 << k) * m1_count(n, k), target, start,
+                    lambda k: (2 * (n + k + 1), k + 1))
     # 2^k C(n, k) rises while k < (2n-1)/3, then falls back to exactly 2^n at
     # k = n; any k > n reads as "exceeds".  For n >= 3 it first exceeds 2^n on
     # the rise, at k2 < n/2, so the doubling from start = 0 stops at a power
     # of two <= 2 k2 < n and never probes the fall.  For n = 1, 2 it never
     # exceeds 2^n (at n = 2 the terms are 1, 4, 4), and the search returns n.
+    # No ratio: past k = n no step leads from the count to "exceeds".
     k2 = _largest_k(lambda k: (1 << k) * math.comb(n, k) if k <= n else target + 1, target)
     return k1, k2
 

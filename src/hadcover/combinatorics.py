@@ -8,8 +8,9 @@ Two families of translation sets drive every covering construction here:
   ``k``.  Their number is the Delannoy number
   ``D(n, k) = sum_i 2^i * C(n, i) * C(k, i)`` (OEIS A008288): choose the
   ``i`` nonzero coordinates, their signs, and their absolute values as
-  a composition of at most ``k`` into ``i`` positive parts.  The sum is
-  run with one term updated by the ratio ``2(n-i)(k-i) / (i+1)^2``.
+  a composition of at most ``k`` into ``i`` positive parts.  It is
+  computed by two routes: the three-term recurrence in ``k`` and the
+  slice recurrence in ``n``.
 
 All counts are plain Python integers, so arithmetic is exact at any
 magnitude, and so is every comparison a threshold search makes against
@@ -32,20 +33,22 @@ def m1_count(n: int, k: int) -> int:
 
 
 def m2_count_closed(n: int, k: int) -> int:
-    """Number of integer vectors of length n with l1 norm <= k, closed form.
+    """Number of integer vectors of length n with l1 norm <= k, by the k-recurrence.
 
-    Computes the Delannoy sum ``sum_{i=0..min(n,k)} 2^i C(n, i) C(k, i)``
-    (OEIS A008288).  Each term comes from the previous one by the ratio
-    ``2(n-i)(k-i) / (i+1)^2``; the division is exact because the result
-    is the next term, an integer.  That is O(min(n, k)) integer steps
-    and no fresh binomial.
+    The Delannoy numbers satisfy D(n, -1) = 0, D(n, 0) = 1 and
+
+        (j+1) D(n, j+1) = (2n+1) D(n, j) + j D(n, j-1),
+
+    run over the smaller index, as D(n, k) = D(k, n).  The division is
+    exact because the result is the next count, an integer.  That is
+    O(min(n, k)) steps, each a multiply by small ints.
     """
     _check_nk(n, k)
-    total = term = 1
-    for i in range(min(n, k)):
-        term = term * 2 * (n - i) * (k - i) // ((i + 1) * (i + 1))
-        total += term
-    return total
+    n, k = max(n, k), min(n, k)
+    prev, cur = 0, 1
+    for j in range(k):
+        prev, cur = cur, ((2 * n + 1) * cur + j * prev) // (j + 1)
+    return cur
 
 
 def m2_count_recurrence(n: int, k: int) -> int:

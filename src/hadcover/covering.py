@@ -183,7 +183,8 @@ def _verify(base: BodySpec, k: int, samples: int, seed: int) -> CoveringReport:
     negative coordinates (nonnegative bodies).  Module functions are
     looked up at call time, so wrappers see them.  Before any of this,
     a run of more than MAX_CHECKS checks (translate vertices, from the
-    exact count of the translation set, plus samples times n) is refused.
+    exact count of the translation set, plus samples times n, or for a
+    curved body samples times n times the k + 1 peel steps) is refused.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -192,11 +193,14 @@ def _verify(base: BodySpec, k: int, samples: int, seed: int) -> CoveringReport:
     # len(bodies.axis_vertices(base)), without building the list.
     vertices = (n + 1 if base.nonnegative else 2 * n) if base.is_polytopal else 0
     translates = lattice_sets.count(spec) if vertices else 0
-    checks = translates * vertices + samples * n
+    # A curved sample is peeled by up to k moves and k + 1 membership tests, each O(n).
+    steps = 1 if vertices else k + 1
+    checks = translates * vertices + samples * n * steps
     if checks > MAX_CHECKS:
         sweep = f"{translates} translates x {vertices} vertices + " if vertices else ""
+        peel = "" if vertices else f" x k + 1 = {steps}"
         raise ValueError(f"verification needs {checks} checks ({sweep}{samples} samples "
-                         f"x n = {n}), over the budget of {MAX_CHECKS}")
+                         f"x n = {n}{peel}), over the budget of {MAX_CHECKS}")
     scaled = _inflated(base, k)
     report = CoveringReport(
         kind=f"{spec.kind}-{base.family}", n=n, k=k, p=base.p, samples=samples, seed=seed

@@ -1,10 +1,11 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately naive: direct enumeration over integer
-boxes, Pascal's triangle built by addition, and closed-form roots of
-small polynomials.  None of it shares code with src/hadcover, except
-reference_sweep and reference_peel, which run the package's general
-membership tests at every translate vertex and before every peel move.
+boxes, Pascal's triangle built by addition, the Delannoy term sum, and
+closed-form roots of small polynomials.  None of it shares code with
+src/hadcover, except reference_sweep and reference_peel, which run the
+package's general membership tests at every translate vertex and
+before every peel move.
 """
 
 from fractions import Fraction
@@ -186,6 +187,20 @@ def recursive_count_m2(n, k):
     total = recursive_count_m2(n - 1, k)
     for v in range(1, k + 1):
         total += 2 * recursive_count_m2(n - 1, k - v)
+    return total
+
+
+def delannoy_sum(n, k):
+    """The Delannoy number D(n, k) = sum_i 2^i C(n, i) C(k, i) (OEIS A008288).
+
+    Each term comes from the previous one by the ratio
+    2(n-i)(k-i) / (i+1)^2; the division is exact because the result is
+    the next term, an integer.
+    """
+    total = term = 1
+    for i in range(min(n, k)):
+        term = term * 2 * (n - i) * (k - i) // ((i + 1) * (i + 1))
+        total += term
     return total
 
 

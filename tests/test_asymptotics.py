@@ -197,12 +197,42 @@ def test_thresholds_match_the_doubling_search():
 
 
 def test_largest_k_is_exact_from_every_start():
+    # With a ratio, the probes next to a known count are derived from it:
+    # going up from the start, down from it, and beside each bisection end.
     for n in (1, 2, 3, 11, 64, 257):
         cap = 1 << n
-        for count in (lambda k: m1_count(n, k), lambda k: m2_count_closed(n, k), _k1_count(n)):
+        for count, ratio in ((lambda k: m1_count(n, k), None),
+                             (lambda k: m1_count(n, k), lambda k: (n + k + 1, k + 1)),
+                             (lambda k: m2_count_closed(n, k), None),
+                             (_k1_count(n), None),
+                             (_k1_count(n), lambda k: (2 * (n + k + 1), k + 1))):
             k = oracles.reference_largest_k(count, cap)
             for start in range(2 * k + 6):
-                assert asymptotics._largest_k(count, cap, start) == k, (n, start)
+                assert asymptotics._largest_k(count, cap, start, ratio) == k, (n, start)
+
+
+def test_supplied_ratios_are_exact_up_and_down(monkeypatch):
+    # A derived probe must be the count itself: count(k) num / den is
+    # count(k + 1) and count(k + 1) den / num is count(k), with no remainder.
+    search, searches = asymptotics._largest_k, []
+
+    def record(count, target, start=0, ratio=None):
+        searches.append((count, ratio))
+        return search(count, target, start, ratio)
+
+    monkeypatch.setattr(asymptotics, "_largest_k", record)
+    for n in range(1, 301):
+        searches.clear()
+        k_of_n_simplex(n)
+        k1_k2_of_n(n)
+        (m1, m1_ratio), (k1, k1_ratio), (_, k2_ratio) = searches
+        assert k2_ratio is None
+        for count, ratio in ((m1, m1_ratio), (k1, k1_ratio)):
+            counts = [count(k) for k in range(302)]
+            for k in range(301):
+                num, den = ratio(k)
+                assert divmod(counts[k] * num, den) == (counts[k + 1], 0), (n, k)
+                assert divmod(counts[k + 1] * den, num) == (counts[k], 0), (n, k)
 
 
 def test_largest_k_from_zero_probes_like_the_doubling_search():
@@ -218,15 +248,19 @@ def test_largest_k_from_zero_probes_like_the_doubling_search():
             assert got == want, n
 
 
-@pytest.mark.parametrize("name, threshold", [
-    ("m1_count", k_of_n_simplex), ("m2_count_closed", k_max_crosspolytope)])
-def test_predicted_start_costs_two_probes(monkeypatch, name, threshold):
+# The simplex derives count(k + 1) from count(k) by its ratio, so one
+# full count remains; the cross-polytope has no ratio and counts both.
+@pytest.mark.parametrize("threshold, count, full", [
+    (k_of_n_simplex, m1_count, 1), (k_max_crosspolytope, m2_count_closed, 2)],
+    ids=["m1_count-k_of_n_simplex", "m2_count_closed-k_max_crosspolytope"])
+def test_predicted_start_costs_two_probes(monkeypatch, threshold, count, full):
     probes = []
-    monkeypatch.setattr(asymptotics, name, _recorded(getattr(asymptotics, name), probes))
+    monkeypatch.setattr(asymptotics, count.__name__, _recorded(count, probes))
     for n in (1024, 2048, 4096, 8192, 2**14):
         probes.clear()
         k = threshold(n)
-        assert probes == [k, k + 1], n
+        assert probes == [k, k + 1][:full], n
+        assert count(n, k) <= 1 << n < count(n, k + 1), n
 
 
 def test_threshold_ratio_approaches_root():

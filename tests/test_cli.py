@@ -178,6 +178,7 @@ def test_domain_errors_exit_2(capsys):
         "verify-cover --body crosspolytope --n 2 --k 1 --p 7 --samples 5",
         "verify-cover --body lp --n 3 --k 3 --p 1e16 --samples 50",
         "verify-cover --body crosspolytope --n 50 --k 10 --samples 1",
+        "verify-cover --body lp --n 2 --k 1000000 --p 1.01 --samples 1000",
     ):
         code, out, err = run_cli(capsys, *argv.split())
         assert code == 2, argv

@@ -127,9 +127,10 @@ def test_verify_cover_past_the_scale_bound_exits_2(argv):
     assert err.startswith("error: p = ") and err.count("\n") == 1, err
 
 
-# Past MAX_CHECKS (translate vertices plus samples times n) verify-cover
-# is refused before any work: by the sweep of a large exact covering,
-# or by the samples of any body.
+# Past MAX_CHECKS (translate vertices plus samples times n, times the
+# k + 1 peel steps for a curved body) verify-cover is refused before any
+# work: by the sweep of a large exact covering, or by the samples of any
+# body.
 @SETTINGS
 @given(st.one_of(
     st.builds(_argv, st.just("verify-cover"), body=st.sampled_from(("simplex", "crosspolytope")),

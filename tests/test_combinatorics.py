@@ -68,11 +68,17 @@ def test_m2_closed_equals_recurrence_equals_enumeration():
 
 
 def test_m2_delannoy_sum_equals_recurrence():
-    # Two routes that share no code, over both degenerate edges (n = 0,
+    # Three routes that share no code: the k-recurrence, the slice
+    # recurrence and the term sum, over both degenerate edges (n = 0,
     # k = 0) and both sides of the diagonal (k > n and n > k).
-    for n in range(40):
-        for k in range(40):
-            assert m2_count_closed(n, k) == m2_count_recurrence(n, k)
+    for n in range(61):
+        for k in range(61):
+            want = oracles.delannoy_sum(n, k)
+            assert m2_count_closed(n, k) == want == m2_count_recurrence(n, k), (n, k)
+    assert m2_count_recurrence(1500, 322) == oracles.delannoy_sum(1500, 322)
+    for n, k in ((1500, 322), (4096, 878)):
+        want = oracles.delannoy_sum(n, k)
+        assert m2_count_closed(n, k) == m2_count_closed(k, n) == want
 
 
 def test_counts_pass_the_volume_test():

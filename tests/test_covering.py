@@ -215,10 +215,11 @@ def test_translate_sweep_counts_escaping_vertices(monkeypatch):
 def test_check_budget_is_exact_and_refuses_before_any_work(monkeypatch):
     # M2(2, 1) has 5 translates and the cross-polytope 4 vertices: 20
     # sweep checks plus 5 samples x n = 2 is 30.  A curved body has no
-    # sweep, so only its 5 x 2 sample checks count.
+    # sweep; each sample costs n checks per peel step, k + 1 of them, so
+    # 5 samples x n = 2 x 3 at k = 2.
     monkeypatch.setattr(covering, "MAX_CHECKS", 30)
     assert verify_covering_exact("crosspolytope", 2, 1, samples=5, seed=1).ok
-    assert verify_covering_lp("lp", 2, 2.0, 1, samples=15, seed=1).ok
+    assert verify_covering_lp("lp", 2, 2.0, 2, samples=5, seed=1).ok
     monkeypatch.setattr(covering, "MAX_CHECKS", 29)
 
     def no_work(*args):
@@ -228,9 +229,9 @@ def test_check_budget_is_exact_and_refuses_before_any_work(monkeypatch):
     with pytest.raises(ValueError, match=r"^verification needs 30 checks \(5 translates "
                        r"x 4 vertices \+ 5 samples x n = 2\), over the budget of 29$"):
         verify_covering_exact("crosspolytope", 2, 1, samples=5, seed=1)
-    with pytest.raises(ValueError, match=r"^verification needs 30 checks \(15 samples "
-                       r"x n = 2\), over the budget of 29$"):
-        verify_covering_lp("lp", 2, 2.0, 1, samples=15, seed=1)
+    with pytest.raises(ValueError, match=r"^verification needs 30 checks \(5 samples "
+                       r"x n = 2 x k \+ 1 = 3\), over the budget of 29$"):
+        verify_covering_lp("lp", 2, 2.0, 2, samples=5, seed=1)
     # M1(3, 2) has 10 translates and the simplex 4 vertices.
     with pytest.raises(ValueError, match=r"^verification needs 43 checks \(10 translates"):
         verify_covering_exact("simplex", 3, 2, samples=1, seed=1)
