@@ -116,26 +116,29 @@ def contains_exact(body: BodySpec, point: Sequence) -> bool:
     Coordinates must be ints or Fractions and are used as given; any
     other type raises ValueError.  The decision never rounds.
     """
-    return _exact_magnitudes(body, point) is not None
-
-
-def _exact_magnitudes(body: BodySpec, point: Sequence) -> tuple[int, list[int]] | None:
-    """(D, [|c_i|·D]) of a point inside the body, D the lcm denominator; None outside.
-
-    contains_exact's validation and rule, decided on the integer sum of
-    the |c_i|·D, so the witness peels the numbers membership read.
-    """
     if not body.is_polytopal:
         raise ValueError("exact membership needs a polytopal body (p = 1)")
-    _check_dim(body, point)
+    lcm_form = _exact_magnitudes(body.n, body.nonnegative, point)
+    if lcm_form is None:
+        return False
+    den, mags = lcm_form
+    bound = body.bound
+    return sum(mags) * bound.denominator <= bound.numerator * den
+
+
+def _exact_magnitudes(n: int, nonnegative: bool, point: Sequence) -> tuple[int, list] | None:
+    """(D, [|c_i|·D]), D the lcm denominator; None for a c_i < 0 if nonnegative.
+
+    contains_exact's validation and lcm form, so the witness peels the
+    numbers membership reads; each caller compares with its own bound.
+    """
+    _check_dim(n, point)
     if not all(map(isinstance, point, repeat((int, Fraction)))):
         raise ValueError("exact coordinates must be int or Fraction")
-    if body.nonnegative and any(c.numerator < 0 for c in point):
+    if nonnegative and any(c.numerator < 0 for c in point):
         return None
     den = math.lcm(*(c.denominator for c in point))
-    mags = [abs(c.numerator) * (den // c.denominator) for c in point]
-    bound = body.bound
-    return (den, mags) if sum(mags) * bound.denominator <= bound.numerator * den else None
+    return den, [abs(c.numerator) * (den // c.denominator) for c in point]
 
 
 def contains_float(body: BodySpec, point: Sequence[float]) -> bool:
@@ -147,7 +150,7 @@ def contains_float(body: BodySpec, point: Sequence[float]) -> bool:
     """
     if body.family not in (QUARTER_LP, LP):
         raise ValueError("float membership is for the l_p families")
-    _check_dim(body, point)
+    _check_dim(body.n, point)
     coords = list(map(float, point))
     if not all(map(math.isfinite, coords)):
         raise ValueError("coordinates must be finite")
@@ -179,6 +182,11 @@ def axis_vertices(body: BodySpec) -> list[tuple[int, Scale]]:
     out = [(0, 0)] if body.nonnegative else []
     signs = (r,) if body.nonnegative else (r, -r)
     return out + [(i, c) for i in range(body.n) for c in signs]
+
+
+def _vertex_count(body: BodySpec) -> int:
+    """len(axis_vertices(body)) of a polytopal body, without building the list."""
+    return body.n + 1 if body.nonnegative else 2 * body.n
 
 
 def vertices(body: BodySpec) -> list[tuple]:
@@ -260,6 +268,6 @@ def _sample_float(body: BodySpec, rng: random.Random) -> tuple:
     return tuple(coords)
 
 
-def _check_dim(body: BodySpec, point: Sequence) -> None:
-    if len(point) != body.n:
-        raise ValueError(f"point has dimension {len(point)}, body needs {body.n}")
+def _check_dim(n: int, point: Sequence) -> None:
+    if len(point) != n:
+        raise ValueError(f"point has dimension {len(point)}, body needs {n}")

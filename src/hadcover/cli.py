@@ -200,6 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact counts print in full, past the interpreter's int-to-text digit
+    # limit; the caller's limit is back in place when main returns.
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         code = args.handler(args)
         sys.stdout.flush()  # so a closed pipe raises here, not at interpreter exit
@@ -213,6 +217,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    finally:
+        sys.set_int_max_str_digits(digits)
     return code
 
 

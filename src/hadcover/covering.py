@@ -88,37 +88,35 @@ class CoveringReport:
 
 def decompose_simplex(n: int, k: int, y: Sequence) -> WitnessDecomposition:
     """Split y in ((n+k)/n) * simplex as z + residual with z in M1(n, k)."""
-    return _decompose(_scaled(_inflated, SIMPLEX, n, k), y)
+    return _decompose(n, k, y, nonnegative=True)
 
 
 def decompose_crosspolytope(n: int, k: int, y: Sequence) -> WitnessDecomposition:
     """Split y in ((n+k)/n) * cross-polytope as z + residual, z in M2(n, k)."""
-    return _decompose(_scaled(_inflated, CROSSPOLYTOPE, n, k), y)
+    return _decompose(n, k, y, nonnegative=False)
 
 
-@functools.lru_cache(maxsize=8)
-def _scaled(inflate, family: str, n: int, k: int) -> BodySpec:
-    """inflate(BodySpec(family, n), k); keyed on inflate, so no patch reads a stale body."""
-    return inflate(BodySpec(family, n), k)
-
-
-def _decompose(scaled: BodySpec, y: Sequence) -> WitnessDecomposition:
+def _decompose(n: int, k: int, y: Sequence, nonnegative: bool) -> WitnessDecomposition:
     """The exact witness for both polytopal families, greedy on |y|.
 
-    The required budget is m = max(0, ceil(sum |y_i|) - n); coordinate
-    floors of |y| always sum to at least m, so a greedy scan assigning
-    |z_i| = min(floor |y_i|, remaining budget) ends with sum |z_i| = m
-    and leaves the residual inside the normalized body.  Each z_i takes
-    the sign of y_i.  The arithmetic is on the integers |y_i| * D, D the
-    lcm denominator, that bodies._exact_magnitudes decided membership
-    on.  The scan stops at a spent budget and writes only where z_i != 0.
+    y lies in ((n+k)/n) * body exactly when its budget, the shell level
+    m = max(0, ceil(sum |y_i|) - n), is at most k, n + k being an integer
+    (and the simplex needs y >= 0).  Floors of |y_i| sum to at least m,
+    so a greedy scan with |z_i| = min(floor |y_i|, remaining budget) and
+    the sign of y_i leaves the residual in the normalized body.  It runs
+    on the integers |y_i| * D from bodies._exact_magnitudes, D the lcm
+    denominator, and writes only where z_i != 0.
     """
-    inside = bodies._exact_magnitudes(scaled, y)
-    if inside is None:
-        raise ValueError(f"point lies outside the scaled {scaled.family}")
-    den, mags = inside
-    needed = max(0, -(-sum(mags) // den) - scaled.n)
-    z, residual, remaining = [0] * scaled.n, list(y), needed
+    if n < 1:
+        raise ValueError("dimension n must be >= 1")
+    lcm_form = bodies._exact_magnitudes(n, nonnegative, y)
+    if lcm_form is not None:
+        den, mags = lcm_form
+        needed = max(0, -(-sum(mags) // den) - n)
+    if lcm_form is None or needed > k:
+        raise ValueError(f"point lies outside the scaled "
+                         f"{SIMPLEX if nonnegative else CROSSPOLYTOPE}")
+    z, residual, remaining = [0] * n, list(y), needed
     for i, m in enumerate(mags):
         if not remaining:
             break
@@ -182,25 +180,30 @@ def _verify(base: BodySpec, k: int, samples: int, seed: int) -> CoveringReport:
     l1 sum of z (symmetric bodies) or its coordinate sum and count of
     negative coordinates (nonnegative bodies).  Module functions are
     looked up at call time, so wrappers see them.  Before any of this,
-    a run of more than MAX_CHECKS checks (translate vertices, from the
-    exact count of the translation set, plus samples times n, or for a
-    curved body samples times n times the k + 1 peel steps) is refused.
+    a run of more than MAX_CHECKS checks (translate vertices plus samples
+    times n, or for a curved body samples times n times the k + 1 peel
+    steps) is refused.  The exact count of M is taken only where its
+    lower bound 1 + n*k times the vertices is within the budget.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     spec = _translation_set(base, k)
     n = base.n
-    # len(bodies.axis_vertices(base)), without building the list.
-    vertices = (n + 1 if base.nonnegative else 2 * n) if base.is_polytopal else 0
-    translates = lattice_sets.count(spec) if vertices else 0
+    vertices = bodies._vertex_count(base) if base.is_polytopal else 0
+    # Both sets hold 0 and every j*e_i with 0 < j <= k.
+    translates = 1 + n * k if vertices else 0
+    bounded = translates * vertices > MAX_CHECKS
+    if vertices and not bounded:
+        translates = lattice_sets.count(spec)
     # A curved sample is peeled by up to k moves and k + 1 membership tests, each O(n).
     steps = 1 if vertices else k + 1
     checks = translates * vertices + samples * n * steps
     if checks > MAX_CHECKS:
-        sweep = f"{translates} translates x {vertices} vertices + " if vertices else ""
+        least = "at least " if bounded else ""
+        sweep = f"{least}{translates} translates x {vertices} vertices + " if vertices else ""
         peel = "" if vertices else f" x k + 1 = {steps}"
-        raise ValueError(f"verification needs {checks} checks ({sweep}{samples} samples "
-                         f"x n = {n}{peel}), over the budget of {MAX_CHECKS}")
+        raise ValueError(f"verification needs {least}{checks} checks ({sweep}{samples} "
+                         f"samples x n = {n}{peel}), over the budget of {MAX_CHECKS}")
     scaled = _inflated(base, k)
     report = CoveringReport(
         kind=f"{spec.kind}-{base.family}", n=n, k=k, p=base.p, samples=samples, seed=seed

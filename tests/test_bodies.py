@@ -18,6 +18,7 @@ from hadcover.bodies import (
     simplex,
     vertices,
 )
+from hadcover import bodies
 import oracles
 
 
@@ -145,7 +146,8 @@ def test_vertices_only_for_polytopes():
 
 
 def test_axis_vertices_expand_to_vertices():
-    # (i, c) stands for c*e_i: vertices is the same list, in the same order.
+    # (i, c) stands for c*e_i: vertices is the same list, in the same order,
+    # and the budget's vertex count is its length.
     for body in (simplex(2), simplex(2, Fraction(1, 3)), cross_polytope(3),
                  quarter_lp(3, 1.0), lp_ball(3, 1.0)):
         expanded = []
@@ -154,6 +156,7 @@ def test_axis_vertices_expand_to_vertices():
             v[i] = c
             expanded.append(tuple(v))
         assert vertices(body) == expanded
+        assert bodies._vertex_count(body) == len(expanded)
 
 
 def test_vertices_lie_on_defining_boundary():

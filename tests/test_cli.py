@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import oracles
-from hadcover import cli
+from hadcover import cli, combinatorics
 from hadcover.cli import build_parser, main
 
 
@@ -24,6 +24,21 @@ def test_count_plain(capsys):
     assert code == 0
     assert out == "25\n"
     assert err == ""
+
+
+def test_counts_past_the_digit_limit_print_in_full(capsys):
+    # C(16000, 8000) has 4,815 digits, past Python's default limit of 4,300
+    # for int-to-text conversion; main lifts it and gives the caller's back.
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(combinatorics.m1_count(8000, 8000))
+    finally:
+        sys.set_int_max_str_digits(digits)
+    code, out, err = run_cli(capsys, "count", "--set", "m1", "--n", "8000", "--k", "8000")
+    assert sys.get_int_max_str_digits() == digits
+    assert (code, out, err) == (0, want + "\n", "")
+    assert len(want) == 4815
 
 
 def test_count_json_round_trip(capsys):
@@ -179,6 +194,7 @@ def test_domain_errors_exit_2(capsys):
         "verify-cover --body lp --n 3 --k 3 --p 1e16 --samples 50",
         "verify-cover --body crosspolytope --n 50 --k 10 --samples 1",
         "verify-cover --body lp --n 2 --k 1000000 --p 1.01 --samples 1000",
+        "verify-cover --body crosspolytope --n 100000 --k 100000",
     ):
         code, out, err = run_cli(capsys, *argv.split())
         assert code == 2, argv

@@ -134,7 +134,7 @@ def test_verify_cover_past_the_scale_bound_exits_2(argv):
 @SETTINGS
 @given(st.one_of(
     st.builds(_argv, st.just("verify-cover"), body=st.sampled_from(("simplex", "crosspolytope")),
-              n=st.integers(20, 10**4), k=st.integers(10, 1000),
+              n=st.integers(20, 10**5), k=st.integers(10, 10**5),
               samples=_optional(st.integers(1, 20)), format=fmt),
     st.builds(_argv, st.just("verify-cover"), body=body, n=st.integers(1, 100),
               k=st.integers(0, 3), samples=st.integers(MAX_CHECKS + 1, 10**12), format=fmt),

@@ -237,24 +237,31 @@ def test_check_budget_is_exact_and_refuses_before_any_work(monkeypatch):
         verify_covering_exact("simplex", 3, 2, samples=1, seed=1)
 
 
-def test_decomposers_follow_an_undone_inflation_patch(monkeypatch):
-    # The decomposers build their inflated body once per (family, n, k);
-    # a body built under a patched _inflated must not outlive the patch.
+def test_decomposers_decide_membership_by_shell_level(monkeypatch):
+    # y lies in ((n+k)/n) * body exactly when its shell level is at most k,
+    # so the decomposers need no inflated body.
+    def no_body(base, k):
+        raise AssertionError("decomposer built an inflated body")
+
+    monkeypatch.setattr(covering, "_inflated", no_body)
     n, k = 3, 2
     for family, decompose, y in (
         ("simplex", decompose_simplex, (Fraction(5, 2), Fraction(3, 2), 1)),
         ("crosspolytope", decompose_crosspolytope, (Fraction(-5, 2), Fraction(3, 2), -1)),
     ):
-        assert sum(map(abs, y)) == n + k  # on the boundary of the true body
-        with monkeypatch.context() as patch:
-            patch.setattr(covering, "_inflated",
-                          lambda base, k: base.rescaled(Fraction(base.n + k - 1, base.n)))
-            assert decompose(n, k, (1, 1, 1)).z == (0, 0, 0)
-            with pytest.raises(ValueError, match="outside"):
-                decompose(n, k, y)
+        assert sum(map(abs, y)) == n + k  # on the boundary of the scaled body
         w = decompose(n, k, y)
         assert w.shell_level == k
         assert bodies.contains_exact(bodies.BodySpec(family, n), w.residual)
+        # Past the boundary by 1/D, D = 2 the lcm denominator of y.
+        past = (y[0] + Fraction(1, 2) * (1 if y[0] > 0 else -1),) + y[1:]
+        with pytest.raises(ValueError, match=f"^point lies outside the scaled {family}$"):
+            decompose(n, k, past)
+    with pytest.raises(ValueError, match="^point lies outside the scaled simplex$"):
+        decompose_simplex(n, k, (Fraction(-1, 2), 1, 1))
+    for decompose in (decompose_simplex, decompose_crosspolytope):
+        with pytest.raises(ValueError, match="^dimension n must be >= 1$"):
+            decompose(0, k, ())
 
 
 def test_report_serialization():
