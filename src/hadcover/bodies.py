@@ -164,35 +164,31 @@ def _float_inside(body: BodySpec, coords: Sequence, terms: Iterable[float]) -> b
     """contains_float's rule, given finite coords and their terms |x_i|^p in order."""
     if body.family == QUARTER_LP and float(min(coords)) < -TOL:
         return False
-    return sum(terms) <= body.bound * (1.0 + TOL)
+    return _sum_in_order(terms) <= body.bound * (1.0 + TOL)
 
 
-def axis_vertices(body: BodySpec) -> list[tuple[int, Scale]]:
-    """Vertex list of a polytopal body in axis form: (i, c) means c*e_i.
-
-    Simplex-like bodies: the origin, as (0, 0), then (i, scale*n) for
-    each i.  Cross-polytope bodies: (i, scale*n) and (i, -scale*n).
-    c is an int where integral.  Curved bodies (p > 1) have no vertex
-    list.
-    """
-    if not body.is_polytopal:
-        raise ValueError("curved bodies (p > 1) have no vertex list")
-    r = body.bound
-    r = r.numerator if r.denominator == 1 else r
-    out = [(0, 0)] if body.nonnegative else []
-    signs = (r,) if body.nonnegative else (r, -r)
-    return out + [(i, c) for i in range(body.n) for c in signs]
-
-
-def _vertex_count(body: BodySpec) -> int:
-    """len(axis_vertices(body)) of a polytopal body, without building the list."""
-    return body.n + 1 if body.nonnegative else 2 * body.n
+def _sum_in_order(terms: Iterable[float]) -> float:
+    """Left to right, as sum() up to 3.11; from 3.12 its float sum compensates."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
 
 
 def vertices(body: BodySpec) -> list[tuple]:
-    """The points of axis_vertices(body): exact, ints where integral."""
-    n = body.n
-    return [(0,) * i + (c,) + (0,) * (n - 1 - i) for i, c in axis_vertices(body)]
+    """Vertex list of a polytopal body: exact, ints where integral.
+
+    Simplex-like bodies: the origin, then scale*n*e_i for each i.
+    Cross-polytope bodies: scale*n*e_i and -scale*n*e_i for each i.
+    Curved bodies (p > 1) have no vertex list.
+    """
+    if not body.is_polytopal:
+        raise ValueError("curved bodies (p > 1) have no vertex list")
+    n, r = body.n, body.bound
+    r = r.numerator if r.denominator == 1 else r
+    out = [(0,) * n] if body.nonnegative else []
+    signs = (r,) if body.nonnegative else (r, -r)
+    return out + [(0,) * i + (c,) + (0,) * (n - 1 - i) for i in range(n) for c in signs]
 
 
 # Rational samples draw numerators below this denominator.
@@ -256,11 +252,11 @@ def _sample_float(body: BodySpec, rng: random.Random) -> tuple:
             break
     # With the largest weight at 1 the power sum is >= 1 at any p.
     weights = [w / top for w in weights]
-    factor = (target / sum(map(pow, weights, repeat(p)))) ** (1.0 / p)
+    factor = (target / _sum_in_order(map(pow, weights, repeat(p)))) ** (1.0 / p)
     coords = [factor * w for w in weights]
     # One ulp of factor scales the power sum by about exp(p * 2**-52),
     # past any tolerance at large p: step down until the point is inside.
-    while sum(map(pow, coords, repeat(p))) > bound:
+    while _sum_in_order(map(pow, coords, repeat(p))) > bound:
         factor = math.nextafter(factor, 0.0)
         coords = [factor * w for w in weights]
     if not body.nonnegative:

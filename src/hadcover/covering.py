@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -22,9 +23,10 @@ from . import asymptotics, bodies, lattice_sets
 from .bodies import BodySpec, CROSSPOLYTOPE, LP, SIMPLEX
 from .lattice_sets import LatticeSetSpec
 
-# Most checks one verification may start: |M|·|V| translate vertices
-# plus samples·n sampled coordinates.  The sweep checks about 3.7
-# million vertices per second, so this is about 30 s.
+# Most checks one verification may start: samples·n sampled coordinates
+# (times k + 1 for a curved body) plus (k + 1)·(min(n, k) + 10) for the
+# level count of the sweep.  Its slowest admitted run, n = 1 at k =
+# 9,090,908, takes about 12 s on one core; n = k = 9,994 takes 0.25 s.
 MAX_CHECKS = 10**8
 
 
@@ -175,40 +177,34 @@ def _verify(base: BodySpec, k: int, samples: int, seed: int) -> CoveringReport:
     Samples come from the inflated base body.  Every witness of a sample
     y is re-checked from scratch: z in the translation set and y - z in
     the base body (within bodies.TOL for curved bodies).  Polytopal
-    bodies then get the exhaustive translate sweep, _sweep: every
-    translate vertex z + c*e_i is checked in integers at O(1) from the
-    l1 sum of z (symmetric bodies) or its coordinate sum and count of
-    negative coordinates (nonnegative bodies).  Module functions are
-    looked up at call time, so wrappers see them.  Before any of this,
-    a run of more than MAX_CHECKS checks (translate vertices plus samples
-    times n, or for a curved body samples times n times the k + 1 peel
-    steps) is refused.  The exact count of M is taken only where its
-    lower bound 1 + n*k times the vertices is within the budget.
+    bodies then get the translate sweep, _sweep, which counts the
+    translate vertices outside the inflated body level by level instead
+    of enumerating them.  Module functions are looked up at call time,
+    so wrappers see them.  Before any of this, a run of more than
+    MAX_CHECKS checks is refused: samples times n sampled coordinates,
+    times the k + 1 peel steps of a curved body, plus for a polytopal
+    body the k + 1 levels of the sweep at min(n, k) + 10 each.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     spec = _translation_set(base, k)
-    n = base.n
-    vertices = bodies._vertex_count(base) if base.is_polytopal else 0
-    # Both sets hold 0 and every j*e_i with 0 < j <= k.
-    translates = 1 + n * k if vertices else 0
-    bounded = translates * vertices > MAX_CHECKS
-    if vertices and not bounded:
-        translates = lattice_sets.count(spec)
-    # A curved sample is peeled by up to k moves and k + 1 membership tests, each O(n).
-    steps = 1 if vertices else k + 1
-    checks = translates * vertices + samples * n * steps
+    n, polytopal = base.n, base.is_polytopal
+    # A sweep level is a few Python steps and one big-integer step whose
+    # size grows with min(n, k).  A curved sample is peeled by up to k
+    # moves and k + 1 membership tests, each O(n).
+    levels, width = (k + 1, min(n, k) + 10) if polytopal else (0, 0)
+    steps = 1 if polytopal else k + 1
+    checks = levels * width + samples * n * steps
     if checks > MAX_CHECKS:
-        least = "at least " if bounded else ""
-        sweep = f"{least}{translates} translates x {vertices} vertices + " if vertices else ""
-        peel = "" if vertices else f" x k + 1 = {steps}"
-        raise ValueError(f"verification needs {least}{checks} checks ({sweep}{samples} "
+        sweep = f"{levels} levels x min(n, k) + 10 = {width} + " if polytopal else ""
+        peel = "" if polytopal else f" x k + 1 = {steps}"
+        raise ValueError(f"verification needs {checks} checks ({sweep}{samples} "
                          f"samples x n = {n}{peel}), over the budget of {MAX_CHECKS}")
     scaled = _inflated(base, k)
     report = CoveringReport(
         kind=f"{spec.kind}-{base.family}", n=n, k=k, p=base.p, samples=samples, seed=seed
     )
-    if base.is_polytopal:
+    if polytopal:
         decompose = decompose_simplex if base.nonnegative else decompose_crosspolytope
         inside = bodies.contains_exact
     else:
@@ -223,40 +219,40 @@ def _verify(base: BodySpec, k: int, samples: int, seed: int) -> CoveringReport:
         level = witness.shell_level
         report.shell_levels[level] = report.shell_levels.get(level, 0) + 1
 
-    if base.is_polytopal:
-        report.translates_checked, report.translate_failures = _sweep(base, scaled, spec)
+    if polytopal:
+        report.translates_checked, report.translate_failures = _sweep(base, scaled, k)
 
     report.ok = report.witness_failures == 0 and report.translate_failures == 0
     return report
 
 
-def _sweep(base: BodySpec, scaled: BodySpec, spec: LatticeSetSpec) -> tuple[int, int]:
-    """(translates, translate vertices outside scaled), over every pair.
+def _sweep(base: BodySpec, scaled: BodySpec, k: int) -> tuple[int, int]:
+    """(translates, translate vertices outside scaled), counted by levels.
 
-    Each base vertex is c*e_i or the origin, read as (i, c) from
-    bodies.axis_vertices, so the translate vertex z + c*e_i differs
-    from z at i only: its defining sum and its count of negative
-    coordinates follow from those of z in O(1).  The sums are integers,
-    inside exactly when at most floor(scaled.bound), whatever rational
-    scale the body has.
+    A translate vertex is z + c*e_i, c = +-n, or z for the simplex origin:
+    inside iff |v + c| + s <= limit = floor(scaled.bound), v = z_i and s
+    the l1 sum of the other coordinates.  N(j) translates have z_i = v and
+    s <= j: C(n-1+j, j) for M1, D(n-1, j) for M2.  So the class (v, c) has
+    N(k - |v|) - N(t) vertices outside, t = limit - |v + c|, per axis or
+    once for the origin.  One streamed row of N gives those and the slice
+    identity |M| = sum_v N(k - |v|), with O(1) big integers.
     """
-    limit = math.floor(scaled.bound)
-    steps = bodies.axis_vertices(base)
-    checked = failures = 0
-    points = lattice_sets.enumerate_points(spec)
-    if base.nonnegative:
-        for z in points:
-            checked += 1
-            total = sum(z)
-            negatives = sum(1 for x in z if x < 0)
-            failures += sum(1 for i, c in steps if total + c > limit
-                            or negatives - (z[i] < 0) + (z[i] + c < 0))
-    else:
-        for z in points:
-            checked += 1
-            slack = limit - sum(map(abs, z))
-            failures += sum(1 for i, c in steps if abs(z[i] + c) - abs(z[i]) > slack)
-    return checked, failures
+    n, limit, signed = base.n, math.floor(scaled.bound), not base.nonnegative
+    weight = Counter()  # failures = sum_j weight[j] * N(j), N(j < 0) = 0
+    for v in range(-k if signed else 0, k + 1):
+        for c in (n, -n) if signed else (n, 0):
+            top, t = k - abs(v), limit - abs(v + c)
+            if t < top:
+                weight[top] += n if c else 1
+                weight[t] -= n if c else 1
+    translates = failures = 0
+    prev, cur = 0, 1  # N(j - 1), N(j)
+    for j in range(k + 1):
+        translates += 2 * cur if signed and j < k else cur  # v = +-(k - j)
+        failures += weight.get(j, 0) * cur
+        grow, back = (2 * n - 1, j) if signed else (n + j, 0)
+        prev, cur = cur, (grow * cur + back * prev) // (j + 1)
+    return translates, failures
 
 
 def _peel(base: BodySpec, n: int, k: int, y: Sequence[float]) -> WitnessDecomposition:

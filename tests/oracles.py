@@ -77,8 +77,9 @@ def box_escaping_vertices(family, n, k, limit):
 def reference_sweep(base, scaled, spec):
     """(translates, escaping vertices) with every z + v through contains_exact.
 
-    The verifier checks a vertex from the aggregates of z instead; this
-    route costs O(n) per vertex, so it is for small cases only.
+    The verifier counts the escaping vertices by level instead, with no
+    enumeration; this route costs O(n) per vertex, so it is for small
+    cases only.
     """
     checked = failures = 0
     base_vertices = bodies.vertices(base)

@@ -8,7 +8,6 @@ import pytest
 from hadcover.bodies import (
     TOL,
     BodySpec,
-    axis_vertices,
     contains_exact,
     contains_float,
     cross_polytope,
@@ -117,10 +116,10 @@ def test_vertices_simplex():
         assert all(type(c) is int for v in vertices(body) for c in v)
     thin = vertices(simplex(2, Fraction(1, 3)))[1]
     assert thin == (Fraction(2, 3), 0) and type(thin[0]) is Fraction
-    assert axis_vertices(simplex(2)) == [(0, 0), (0, 2), (1, 2)]
-    assert axis_vertices(simplex(2, Fraction(1, 3))) == [
-        (0, 0), (0, Fraction(2, 3)), (1, Fraction(2, 3))
+    assert vertices(simplex(2, Fraction(1, 3))) == [
+        (0, 0), (Fraction(2, 3), 0), (0, Fraction(2, 3))
     ]
+    assert vertices(quarter_lp(3, 1.0)) == vertices(simplex(3))
 
 
 def test_vertices_crosspolytope():
@@ -132,31 +131,17 @@ def test_vertices_crosspolytope():
         (Fraction(0), Fraction(-2)),
     }
     assert all(type(c) is int for v in got for c in v)
-    assert axis_vertices(cross_polytope(3)) == [
-        (0, 3), (0, -3), (1, 3), (1, -3), (2, 3), (2, -3)
+    assert vertices(cross_polytope(3)) == [
+        (3, 0, 0), (-3, 0, 0), (0, 3, 0), (0, -3, 0), (0, 0, 3), (0, 0, -3)
     ]
-    assert all(type(c) is int for _, c in axis_vertices(cross_polytope(3)))
+    assert all(type(c) is int for v in vertices(cross_polytope(3)) for c in v)
+    assert vertices(lp_ball(3, 1.0)) == vertices(cross_polytope(3))
 
 
 def test_vertices_only_for_polytopes():
     for body in (quarter_lp(2, 2.0), lp_ball(3, 1.5)):
-        for rule in (vertices, axis_vertices):
-            with pytest.raises(ValueError):
-                rule(body)
-
-
-def test_axis_vertices_expand_to_vertices():
-    # (i, c) stands for c*e_i: vertices is the same list, in the same order,
-    # and the budget's vertex count is its length.
-    for body in (simplex(2), simplex(2, Fraction(1, 3)), cross_polytope(3),
-                 quarter_lp(3, 1.0), lp_ball(3, 1.0)):
-        expanded = []
-        for i, c in axis_vertices(body):
-            v = [0] * body.n
-            v[i] = c
-            expanded.append(tuple(v))
-        assert vertices(body) == expanded
-        assert bodies._vertex_count(body) == len(expanded)
+        with pytest.raises(ValueError):
+            vertices(body)
 
 
 def test_vertices_lie_on_defining_boundary():

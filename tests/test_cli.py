@@ -136,6 +136,12 @@ def test_verify_cover_ok(capsys):
     assert code == 0
     assert out.rstrip().endswith("ok")
     assert "translates_checked = 5" in out
+    # |M2(50, 10)| = 3.1e13 translates, counted by level rather than listed.
+    code, out, _ = run_cli(capsys, "verify-cover", "--body", "crosspolytope",
+                           "--n", "50", "--k", "10", "--samples", "1")
+    assert code == 0
+    assert out.rstrip().endswith("ok")
+    assert "translates_checked = 31297149356221" in out
     # At p = 5000 every w**p of a sample draw can underflow to zero.
     code, out, _ = run_cli(capsys, "verify-cover", "--body", "lp", "--n", "2",
                            "--k", "1", "--p", "5000", "--samples", "50")
@@ -192,7 +198,7 @@ def test_domain_errors_exit_2(capsys):
         "verify-cover --body simplex --n 2 --k 1 --p nan --samples 5",
         "verify-cover --body crosspolytope --n 2 --k 1 --p 7 --samples 5",
         "verify-cover --body lp --n 3 --k 3 --p 1e16 --samples 50",
-        "verify-cover --body crosspolytope --n 50 --k 10 --samples 1",
+        "verify-cover --body simplex --n 1 --k 10000000 --samples 1",
         "verify-cover --body lp --n 2 --k 1000000 --p 1.01 --samples 1000",
         "verify-cover --body crosspolytope --n 100000 --k 100000",
     ):

@@ -127,14 +127,14 @@ def test_verify_cover_past_the_scale_bound_exits_2(argv):
     assert err.startswith("error: p = ") and err.count("\n") == 1, err
 
 
-# Past MAX_CHECKS (translate vertices plus samples times n, times the
-# k + 1 peel steps for a curved body) verify-cover is refused before any
-# work: by the sweep of a large exact covering, or by the samples of any
-# body.
+# Past MAX_CHECKS (the (k + 1)·(min(n, k) + 10) level count of the sweep
+# plus samples times n, times the k + 1 peel steps for a curved body)
+# verify-cover is refused before any work: by the sweep of an exact
+# covering with n, k >= 10^4, or by the samples of any body.
 @SETTINGS
 @given(st.one_of(
     st.builds(_argv, st.just("verify-cover"), body=st.sampled_from(("simplex", "crosspolytope")),
-              n=st.integers(20, 10**5), k=st.integers(10, 10**5),
+              n=st.integers(10**4, 10**5), k=st.integers(10**4, 10**5),
               samples=_optional(st.integers(1, 20)), format=fmt),
     st.builds(_argv, st.just("verify-cover"), body=body, n=st.integers(1, 100),
               k=st.integers(0, 3), samples=st.integers(MAX_CHECKS + 1, 10**12), format=fmt),

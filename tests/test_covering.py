@@ -200,25 +200,18 @@ def test_translate_sweep_counts_escaping_vertices(monkeypatch):
             assert reference == (report.translates_checked, report.translate_failures)
             assert oracles.box_escaping_vertices(
                 family, n, k, n + k - shortfall) == report.translate_failures > 0
-            if base.nonnegative:
-                # M2 translates have negative coordinates: the sign count
-                # of the nonnegative sweep must catch the vertices they move.
-                mixed = LatticeSetSpec("m2", n, k)
-                fast = covering._sweep(base, short(base, k), mixed)
-                assert fast == oracles.reference_sweep(base, short(base, k), mixed)
-                assert fast[1] > report.translate_failures
             if shortfall < 2 and expected is not None:
                 assert report.translate_failures == expected
             assert not report.ok
 
 
 def test_check_budget_is_exact_and_refuses_before_any_work(monkeypatch):
-    # M2(2, 1) has 5 translates and the cross-polytope 4 vertices: 20
-    # sweep checks plus 5 samples x n = 2 is 30.  A curved body has no
-    # sweep; each sample costs n checks per peel step, k + 1 of them, so
-    # 5 samples x n = 2 x 3 at k = 2.
+    # The cross-polytope sweep at n = 2, k = 1 counts k + 1 = 2 levels at
+    # min(n, k) + 10 = 11 each: 22 checks, plus 4 samples x n = 2 is 30.
+    # A curved body has no sweep; each sample costs n checks per peel
+    # step, k + 1 of them, so 5 samples x n = 2 x 3 at k = 2.
     monkeypatch.setattr(covering, "MAX_CHECKS", 30)
-    assert verify_covering_exact("crosspolytope", 2, 1, samples=5, seed=1).ok
+    assert verify_covering_exact("crosspolytope", 2, 1, samples=4, seed=1).ok
     assert verify_covering_lp("lp", 2, 2.0, 2, samples=5, seed=1).ok
     monkeypatch.setattr(covering, "MAX_CHECKS", 29)
 
@@ -226,15 +219,39 @@ def test_check_budget_is_exact_and_refuses_before_any_work(monkeypatch):
         raise AssertionError("sampled before the budget check")
 
     monkeypatch.setattr(bodies, "sample_boundary", no_work)
-    with pytest.raises(ValueError, match=r"^verification needs 30 checks \(5 translates "
-                       r"x 4 vertices \+ 5 samples x n = 2\), over the budget of 29$"):
-        verify_covering_exact("crosspolytope", 2, 1, samples=5, seed=1)
+    with pytest.raises(ValueError, match=r"^verification needs 30 checks \(2 levels "
+                       r"x min\(n, k\) \+ 10 = 11 \+ 4 samples x n = 2\), "
+                       r"over the budget of 29$"):
+        verify_covering_exact("crosspolytope", 2, 1, samples=4, seed=1)
     with pytest.raises(ValueError, match=r"^verification needs 30 checks \(5 samples "
                        r"x n = 2 x k \+ 1 = 3\), over the budget of 29$"):
         verify_covering_lp("lp", 2, 2.0, 2, samples=5, seed=1)
-    # M1(3, 2) has 10 translates and the simplex 4 vertices.
-    with pytest.raises(ValueError, match=r"^verification needs 43 checks \(10 translates"):
+    # The simplex at n = 3, k = 2: 3 levels at 12 each, plus 1 sample x n = 3.
+    with pytest.raises(ValueError, match=r"^verification needs 39 checks \(3 levels"):
         verify_covering_exact("simplex", 3, 2, samples=1, seed=1)
+
+
+def test_level_sweep_matches_the_enumerating_oracles():
+    # Every limit from four below the covering bound n + k to one above,
+    # integer and not, with the failing classes the shortened limits give.
+    cases = failing = 0
+    for family in ("simplex", "crosspolytope"):
+        for n in range(1, 5):
+            for k in range(5):
+                base = bodies.BodySpec(family, n)
+                spec = covering._translation_set(base, k)
+                for limit in range(n + k - 4, n + k + 2):
+                    for bound in (limit, limit + Fraction(1, 3)):
+                        if bound <= 0:
+                            continue
+                        scaled = base.rescaled(Fraction(bound) / n)
+                        got = covering._sweep(base, scaled, k)
+                        assert got == oracles.reference_sweep(base, scaled, spec)
+                        assert got[0] == lattice_sets.count(spec)
+                        assert got[1] == oracles.box_escaping_vertices(family, n, k, bound)
+                        cases += 1
+                        failing += got[1] > 0
+    assert cases > 400 and failing > 200
 
 
 def test_decomposers_decide_membership_by_shell_level(monkeypatch):
