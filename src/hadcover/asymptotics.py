@@ -212,48 +212,30 @@ def _predict_k(log_count: Callable[[int], float], n: int, target: int) -> int:
     return lo
 
 
-def _largest_k(count: Callable[[int], int], target: int, start: int = 0,
+def _largest_k(count: Callable[[int], int], target: int, start: int,
                ratio: Callable[[int], tuple[int, int]] | None = None) -> int:
-    # A k with count(k) <= target < count(k+1).  Precondition:
-    # count(0) <= target, so k = 0 needs no probe.  Invariant:
-    # count(lo) <= target < count(hi).  The gallop sets it up from start,
-    # probing start + 1, + 2, + 4, ... while the count fits, or start - 1,
-    # - 2, - 4, ... while it exceeds; the bisection keeps it until
-    # hi = lo + 1.  A wrong start costs probes, never the certificate.
-    # From start = 0 the probes are 1, 2, 4, ..., then the bisection of
-    # [hi // 2, hi]: the doubling search k2's bracket argument relies on.
-    # With ratio(k) = (num, den), count(k+1) = count(k) * num / den
-    # exactly, and a probe next to a known count is derived from it.
-    known = {}
+    # The k with count(k) <= target < count(k+1), by a walk from start:
+    # one full count there, then one step at a time, down while the count
+    # exceeds target, otherwise up while the next count fits.  With
+    # ratio(k) = (num, den), count(k+1) = count(k) * num / den exactly and
+    # a step is one big-by-small multiply and divide; without it a step is
+    # a full count.  count(0) <= target stops the walk down at k >= 0.  A
+    # wrong start costs steps, never the certificate.
+    def step(k: int, value: int, d: int) -> int:
+        # count(k + d), for d = 1 or -1.
+        if ratio is None:
+            return count(k + d)
+        num, den = ratio(min(k, k + d))
+        return value * num // den if d > 0 else value * den // num
 
-    def fits(k: int) -> bool:
-        if ratio and k - 1 in known:
-            num, den = ratio(k - 1)
-            known[k] = known[k - 1] * num // den
-        elif ratio and k + 1 in known:
-            num, den = ratio(k)
-            known[k] = known[k + 1] * den // num
-        else:
-            known[k] = count(k)
-        return known[k] <= target
-
-    step = 1
-    if start == 0 or fits(start):
-        lo = start
-        while fits(start + step):
-            lo = start + step
-            step *= 2
-        hi = start + step
-    else:
-        hi = start
-        while start - step > 0 and not fits(start - step):
-            hi = start - step
-            step *= 2
-        lo = max(start - step, 0)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
-    return lo
+    k, value = start, count(start)
+    if value > target:
+        while value > target:
+            k, value = k - 1, step(k, value, -1)
+        return k
+    while (value := step(k, value, 1)) <= target:
+        k += 1
+    return k
 
 
 def k1_k2_of_n(n: int) -> tuple[int, int]:
@@ -266,13 +248,14 @@ def k1_k2_of_n(n: int) -> tuple[int, int]:
     start = _predict_k(lambda k: k * math.log(2.0) + _log_comb(n + k, k), n, target)
     k1 = _largest_k(lambda k: (1 << k) * m1_count(n, k), target, start,
                     lambda k: (2 * (n + k + 1), k + 1))
-    # 2^k C(n, k) rises while k < (2n-1)/3, then falls back to exactly 2^n at
-    # k = n; any k > n reads as "exceeds".  For n >= 3 it first exceeds 2^n on
-    # the rise, at k2 < n/2, so the doubling from start = 0 stops at a power
-    # of two <= 2 k2 < n and never probes the fall.  For n = 1, 2 it never
-    # exceeds 2^n (at n = 2 the terms are 1, 4, 4), and the search returns n.
-    # No ratio: past k = n no step leads from the count to "exceeds".
-    k2 = _largest_k(lambda k: (1 << k) * math.comb(n, k) if k <= n else target + 1, target)
+    # 2^k C(n, k) is not monotone: it rises while k < (2n-1)/3, then falls
+    # back to exactly 2^n at k = n.  So k2 walks up from k = 0, carrying the
+    # next term 2^(k+1) C(n, k+1) by the ratio 2(n-k)/(k+1), and stops at
+    # the first crossing or at k = n.
+    k2, term = 0, 2 * n
+    while k2 < n and term <= target:
+        k2 += 1
+        term = term * 2 * (n - k2) // (k2 + 1)
     return k1, k2
 
 
