@@ -220,6 +220,28 @@ def test_largest_k_is_exact_from_every_start():
                 assert asymptotics._largest_k(count, cap, start, ratio) == k, (n, start)
 
 
+def test_largest_k_walks_one_step_at_a_time():
+    # Without a ratio the walk counts each k between start and the answer
+    # once, in order: down to the answer, or up to the first k that fails.
+    # With a ratio only the start is counted in full.
+    for n in (1, 2, 3, 11, 64, 257):
+        cap = 1 << n
+        for count in (lambda k: m1_count(n, k), lambda k: m2_count_closed(n, k), _k1_count(n)):
+            k = oracles.reference_largest_k(count, cap)
+            for start in range(2 * k + 6):
+                probes = []
+                assert asymptotics._largest_k(_recorded(count, probes), cap, start) == k
+                want = range(start, k - 1, -1) if start > k else range(start, k + 2)
+                assert probes == list(want), (n, start)
+        ratio = lambda k: (n + k + 1, k + 1)
+        k = oracles.reference_largest_k(lambda k: m1_count(n, k), cap)
+        for start in range(2 * k + 6):
+            probes = []
+            count = _recorded(lambda k: m1_count(n, k), probes)
+            assert asymptotics._largest_k(count, cap, start, ratio) == k
+            assert probes == [start], (n, start)
+
+
 def test_supplied_ratios_are_exact_up_and_down(monkeypatch):
     # A derived probe must be the count itself: count(k) num / den is
     # count(k + 1) and count(k + 1) den / num is count(k), with no remainder.
