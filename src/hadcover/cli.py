@@ -21,7 +21,7 @@ from . import asymptotics, covering, lattice_sets
 from .bodies import FAMILIES, LP, QUARTER_LP
 
 FORMATS = ("plain", "json", "csv")
-# Lines per write of a plain listing: one write per block, memory bounded by one block.
+# Lines per write of a listing: one write per block, memory bounded by one block.
 _BLOCK = 4096
 # verify-cover's --p when omitted; simplex and crosspolytope are p = 1 bodies.
 _DEFAULT_P = {QUARTER_LP: 2.0, LP: 2.0}
@@ -31,25 +31,36 @@ def _scalar(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _render(fmt: str, record: dict, rows=None, lines=None) -> None:
+def _render(fmt: str, record: dict, rows=None, lines=None, array=None) -> None:
     """Print one command's result in the requested format.
 
-    json prints the record; csv prints the header-first rows, or the
-    plain lines when the command has no table; plain prints the lines,
-    by default one ``key = value`` line per record item.  Lines may be a
-    generator; they are written in blocks of _BLOCK, so long listings
-    stream, with the bytes of one ``print`` per line.
+    json prints the record, streaming the lines as bracketed items into
+    its empty list ``record[array]``; csv prints the header-first rows,
+    or the plain lines when the command has no table; plain prints the
+    lines, by default one ``key = value`` per record item, streamed.
     """
     if fmt == "json":
-        print(json.dumps(record, sort_keys=True, separators=(",", ":")))
+        text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        if array:
+            head, key, text = text.partition(f"{json.dumps(array)}:[")
+            sys.stdout.write(head + key)
+            _write_blocks(lines, "],[", "]", "[", ",[")
+        print(text)
     elif fmt == "csv" and rows is not None:
         csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     else:
         if lines is None:
             lines = (f"{key} = {_scalar(value)}" for key, value in record.items())
-        lines = map(str, lines)
-        while block := list(itertools.islice(lines, _BLOCK)):
-            sys.stdout.write("\n".join(block) + "\n")
+        _write_blocks(lines)
+
+
+def _write_blocks(lines, sep="\n", end="\n", start="", restart="") -> None:
+    """Write the lines in blocks of _BLOCK, one write each of start + the block
+    joined by sep + end, where start becomes restart after the first block."""
+    lines = map(str, lines)
+    while block := list(itertools.islice(lines, _BLOCK)):
+        sys.stdout.write(start + sep.join(block) + end)
+        start = restart
 
 
 def _cmd_count(args) -> int:
@@ -62,12 +73,10 @@ def _cmd_count(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     spec = lattice_sets.LatticeSetSpec(args.set, args.n, args.k)
-    points = lattice_sets.enumerate_points(spec)
-    record = {"set": args.set, "n": args.n, "k": args.k}
-    if args.format == "json":
-        record["points"] = list(points)  # json encodes a tuple as a list
     template = ",".join(["%d"] * args.n)
-    _render(args.format, record, lines=(template % z for z in points))
+    lines = (template % z for z in lattice_sets.enumerate_points(spec))
+    record = {"set": args.set, "n": args.n, "k": args.k, "points": []}
+    _render(args.format, record, lines=lines, array="points")
     return 0
 
 

@@ -307,7 +307,10 @@ def t_sequence(n: int, p: float, k_max: int) -> TSequence:
 
 def _next_scale(n: int, p: float, t_prev: float, rhs: float) -> float:
     def g(t: float) -> float:
-        return (t - 1.0) ** p + (n - 1) * t**p - rhs
+        try:
+            return (t - 1.0) ** p + (n - 1) * t**p - rhs
+        except OverflowError:  # past the float range, so above the finite rhs
+            return math.inf
 
     # g(t_prev + 1) = (n - 1)((t_prev + 1)^p - t_prev^p) > 0: the root lies below.
     lo, hi = t_prev, t_prev + 1.0

@@ -138,19 +138,18 @@ def reference_decompose(n, y):
     return tuple(z), tuple(c - w for c, w in zip(y, z)), budget
 
 
-def reference_k2(n):
-    """Last k before 2^k C(n, k) first exceeds 2^n, by a linear scan.
+def certifies_k2(n, k2):
+    """Whether k2 is the last k before 2^k C(n, k) first exceeds 2^n, by math.comb.
 
-    The product is not monotone in k (it falls back to 2^n at k = n), so
-    the scan walks up from k = 0 and stops at the first crossing,
-    carrying the next term 2^(k+1) C(n, k+1) by the ratio 2(n-k)/(k+1).
+    k2 fits and k2 + 1 does not (or k2 = n).  The product rises while its
+    ratio 2(n - k)/(k + 1) exceeds 1, that is while 3k < 2n - 1, so for
+    n >= 3 a k2 below (2n - 1)/3 has every smaller k fitting as well; at
+    n = 1 and 2 every k up to n fits.
     """
     target = 1 << n
-    k2, term = 0, 2 * n
-    while k2 + 1 <= n and term <= target:
-        k2 += 1
-        term = term * 2 * (n - k2) // (k2 + 1)
-    return k2
+    fits = (1 << k2) * math.comb(n, k2) <= target
+    next_exceeds = k2 == n or (1 << (k2 + 1)) * math.comb(n, k2 + 1) > target
+    return fits and next_exceeds and (n < 3 or 3 * k2 < 2 * n - 1)
 
 
 def reference_largest_k(count, target):

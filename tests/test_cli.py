@@ -3,13 +3,15 @@ import contextlib
 import gc
 import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import oracles
-from hadcover import cli, combinatorics
+from hadcover import cli, combinatorics, lattice_sets
 from hadcover.cli import build_parser, main
 
 
@@ -193,7 +195,7 @@ def test_domain_errors_exit_2(capsys):
         "gamma-bound --body simplex --n 5 --k 1 --p 2",
         "rz-bound --n 2000 --r 0.001",
         "rz-bound --n 10 --r 5e-324",
-        "tnpk --n 3 --p 1e6 --k 2",
+        "tnpk --n 2 --p 1e300 --k 2",
         "count --set m1 --n 0 --k 3",
         "verify-cover --body simplex --n 2 --k 1 --p nan --samples 5",
         "verify-cover --body crosspolytope --n 2 --k 1 --p 7 --samples 5",
@@ -214,7 +216,7 @@ def test_overflow_errors_name_the_argument(capsys):
          "error: r is too small for n = 10: the bound overflows a float\n"),
         ("rz-bound --n 2000 --r 0.001",
          "error: r is too small for n = 2000: the bound overflows a float\n"),
-        ("tnpk --n 3 --p 1e6 --k 2",
+        ("tnpk --n 2 --p 1e300 --k 2",
          "error: p is too large: the scale search overflows a float\n"),
     ):
         assert run_cli(capsys, *argv.split()) == (2, "", err_want), argv
@@ -333,6 +335,68 @@ def test_enumerate_matches_a_reference_rendering(capsys):
                     argv = ("enumerate", "--set", kind, "--n", str(n), "--k", str(k),
                             "--format", fmt)
                     assert run_cli(capsys, *argv) == (0, want, ""), argv
+
+
+def _dumped(kind, n, k, points):
+    record = {"set": kind, "n": n, "k": k, "points": [list(z) for z in points]}
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_json_listing_keeps_its_bytes_across_blocks(capsys, monkeypatch, block):
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    boxes = {"m1": oracles.box_points_m1, "m2": oracles.box_points_m2}
+    for kind, box in boxes.items():
+        for n in range(1, 5):
+            for k in range(5):
+                argv = ("enumerate", "--set", kind, "--n", str(n), "--k", str(k),
+                        "--format", "json")
+                assert run_cli(capsys, *argv) == (0, _dumped(kind, n, k, box(n, k)), ""), argv
+
+
+def test_long_json_listing_matches_one_dump(capsys):
+    # 13,073 points: three full blocks of 4096 and one of 785.
+    points = list(lattice_sets.enumerate_points(lattice_sets.LatticeSetSpec("m2", 5, 8)))
+    assert len(points) == 13073
+    argv = ("enumerate", "--set", "m2", "--n", "5", "--k", "8", "--format", "json")
+    assert run_cli(capsys, *argv) == (0, _dumped("m2", 5, 8, points), "")
+
+
+def test_render_streams_a_json_list_one_block_at_a_time(monkeypatch):
+    pulled, writes = [], []
+
+    def lines():
+        for i in range(8193):
+            pulled.append(i)
+            yield f"{i},{-i}"
+
+    class Stdout:
+        def write(self, text):
+            writes.append((len(pulled), text))
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    cli._render("json", {"n": 2, "points": [], "set": "m2"}, lines=lines(), array="points")
+    # The head, one write per block of at most 4096 items, then print's tail and newline.
+    assert [(count, text.count("[")) for count, text in writes] == [
+        (0, 1), (4096, 4096), (8192, 4096), (8193, 1), (8193, 0), (8193, 0)]
+    record = {"n": 2, "points": [[i, -i] for i in range(8193)], "set": "m2"}
+    want = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    assert "".join(text for _, text in writes) == want
+
+
+def test_json_listing_memory_is_one_block():
+    # The whole m1(8, 9) list of 24,310 points, dumped at once, peaks at
+    # about 6 MB of Python allocations; streamed, near the plain listing's 0.6 MB.
+    argv = ["enumerate", "--set", "m1", "--n", "8", "--k", "9", "--format", "json"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(argv) == 0  # warm-up: the parser and the imports are built
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.5e6, peak
 
 
 def test_closed_pipe_exits_141_quietly():

@@ -13,7 +13,7 @@ from hadcover.covering import (
     verify_covering_exact,
     verify_covering_lp,
 )
-from hadcover import bodies, covering, lattice_sets
+from hadcover import asymptotics, bodies, covering, lattice_sets
 from hadcover.lattice_sets import LatticeSetSpec
 import oracles
 
@@ -325,6 +325,16 @@ def test_t_sequence_recurrence_residual_small():
                 assert abs(lhs - rhs) < 1e-8 * max(1.0, rhs)
 
 
+def test_t_sequence_past_the_float_range():
+    # At p = 2000 the bisection's first midpoint t_prev + 1/2 overflows a
+    # float; an overflow reads as above the root, so the search goes on.
+    # (t - 1)^p underflows to 0, so t_1 solves 2 t^p = 3: t_1 = 1.5^(1/p).
+    for p in (2000.0, 1e6):
+        ts = t_sequence(3, p, 3)
+        assert abs(ts.values[1] - 1.5 ** (1 / p)) <= asymptotics.DEFAULT_TOL / 2, p
+        assert all(a < b for a, b in zip(ts.values, ts.values[1:])), p
+
+
 def test_t_sequence_validation():
     with pytest.raises(ValueError):
         t_sequence(1, 2.0, 3)
@@ -336,7 +346,7 @@ def test_t_sequence_validation():
         with pytest.raises(ValueError):
             t_sequence(3, p, 3)
     with pytest.raises(ValueError, match="^p is too large"):
-        t_sequence(3, 1e6, 2)
+        t_sequence(2, 1e300, 2)
 
 
 def test_verify_covering_lp_passes():
