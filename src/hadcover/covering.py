@@ -6,7 +6,8 @@ every point y splits as y = z + r with z in the translation set and r
 back in the normalized body.  For p > 1 a peeling argument moves y into
 the normalized body one unit step at a time, certified by the scale
 sequence t_{n,p,k}.  Float membership uses the fixed relative slack
-``bodies.TOL``, and the scale bisection stops at ``asymptotics.DEFAULT_TOL``.
+``bodies.TOL``; the scale bisection stops at ``asymptotics.DEFAULT_TOL`` in t
+once t**p is within ``bodies.TOL``.
 """
 
 from __future__ import annotations
@@ -282,11 +283,11 @@ def _peel(base: BodySpec, n: int, k: int, y: Sequence[float]) -> WitnessDecompos
 
 
 def t_sequence(n: int, p: float, k_max: int) -> TSequence:
-    """Certified scale factors for the l_p peeling, t_0 = 1 upward.
+    """Scale factors for the l_p peeling, t_0 = 1 upward.
 
-    Each t_{k+1} is the unique root above t_k of
-    (t - 1)^p + (n - 1) t^p = n t_k^p.  For p = 1 the recurrence
-    linearizes and t_k = (n + k)/n exactly.
+    Each t_{k+1} is the root above t_k of (t - 1)^p + (n - 1) t^p = n t_k^p,
+    within bodies.TOL of n t_k^p, or ValueError where no float is (p past
+    about TOL * 2^53).  For p = 1, t_k = (n + k)/n exactly.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -296,12 +297,8 @@ def t_sequence(n: int, p: float, k_max: int) -> TSequence:
     if p == 1:
         return TSequence(n, p, tuple(Fraction(n + j, n) for j in range(k_max + 1)))
     values = [1.0]
-    try:
-        for _ in range(k_max):
-            rhs = n * values[-1] ** p
-            values.append(_next_scale(n, p, values[-1], rhs))
-    except OverflowError:
-        raise ValueError("p is too large: the scale search overflows a float") from None
+    for _ in range(k_max):
+        values.append(_next_scale(n, p, values[-1], n * values[-1] ** p))
     return TSequence(n, p, tuple(values))
 
 
@@ -313,14 +310,17 @@ def _next_scale(n: int, p: float, t_prev: float, rhs: float) -> float:
             return math.inf
 
     # g(t_prev + 1) = (n - 1)((t_prev + 1)^p - t_prev^p) > 0: the root lies below.
+    # Past DEFAULT_TOL in t, bisect on to adjacent floats until g is within TOL of rhs.
     lo, hi = t_prev, t_prev + 1.0
-    while hi - lo > asymptotics.DEFAULT_TOL:
-        mid = (lo + hi) / 2.0
-        if g(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    while True:
+        t = (lo + hi) / 2.0
+        resolved = abs(r := g(t)) / rhs <= bodies.TOL
+        if resolved and hi - lo <= asymptotics.DEFAULT_TOL or not lo < t < hi:
+            break
+        lo, hi = (t, hi) if r < 0 else (lo, t)
+    if not resolved:  # also when rhs is inf: abs(r) / rhs is then nan
+        raise ValueError(f"p is too large: t**p is not resolved within {bodies.TOL!r}")
+    return t
 
 
 def verify_covering_lp(

@@ -196,6 +196,7 @@ def test_domain_errors_exit_2(capsys):
         "rz-bound --n 2000 --r 0.001",
         "rz-bound --n 10 --r 5e-324",
         "tnpk --n 2 --p 1e300 --k 2",
+        "tnpk --n 3 --p 1e15 --k 2",
         "count --set m1 --n 0 --k 3",
         "verify-cover --body simplex --n 2 --k 1 --p nan --samples 5",
         "verify-cover --body crosspolytope --n 2 --k 1 --p 7 --samples 5",
@@ -217,7 +218,9 @@ def test_overflow_errors_name_the_argument(capsys):
         ("rz-bound --n 2000 --r 0.001",
          "error: r is too small for n = 2000: the bound overflows a float\n"),
         ("tnpk --n 2 --p 1e300 --k 2",
-         "error: p is too large: the scale search overflows a float\n"),
+         "error: p is too large: t**p is not resolved within 1e-09\n"),
+        ("tnpk --n 3 --p 1e15 --k 2",
+         "error: p is too large: t**p is not resolved within 1e-09\n"),
     ):
         assert run_cli(capsys, *argv.split()) == (2, "", err_want), argv
 

@@ -13,7 +13,7 @@ from hadcover.covering import (
     verify_covering_exact,
     verify_covering_lp,
 )
-from hadcover import asymptotics, bodies, covering, lattice_sets
+from hadcover import bodies, covering, lattice_sets
 from hadcover.lattice_sets import LatticeSetSpec
 import oracles
 
@@ -305,7 +305,7 @@ def test_t_sequence_first_step_matches_quadratic_root():
 
 def test_t_sequence_floor_and_step_bounds():
     for n in (2, 3, 5):
-        for p in (1.5, 2.0, 3.0):
+        for p in (1.5, 2.0, 3.0, 2000.0, 1e6):
             ts = t_sequence(n, p, 20)
             for k, t in enumerate(ts.values):
                 assert t**p >= (n + k) / n - 1e-10
@@ -316,23 +316,31 @@ def test_t_sequence_floor_and_step_bounds():
 
 def test_t_sequence_recurrence_residual_small():
     for n in (2, 4):
-        for p in (1.5, 2.0, 3.0, 1100.0):
+        for p in (1.5, 2.0, 3.0, 1100.0, 2000.0, 1e6):
             ts = t_sequence(n, p, 10)
             for k in range(10):
                 t_next = ts.values[k + 1]
                 lhs = (t_next - 1.0) ** p + (n - 1) * t_next**p
                 rhs = n * ts.values[k] ** p
-                assert abs(lhs - rhs) < 1e-8 * max(1.0, rhs)
+                assert abs(lhs - rhs) <= bodies.TOL * rhs
 
 
 def test_t_sequence_past_the_float_range():
-    # At p = 2000 the bisection's first midpoint t_prev + 1/2 overflows a
-    # float; an overflow reads as above the root, so the search goes on.
-    # (t - 1)^p underflows to 0, so t_1 solves 2 t^p = 3: t_1 = 1.5^(1/p).
-    for p in (2000.0, 1e6):
-        ts = t_sequence(3, p, 3)
-        assert abs(ts.values[1] - 1.5 ** (1 / p)) <= asymptotics.DEFAULT_TOL / 2, p
-        assert all(a < b for a, b in zip(ts.values, ts.values[1:])), p
+    # Far past TOL * 2^53 no float puts t**p within TOL of the recurrence
+    # (the residual tests above run p = 2000 and 1e6, which floats resolve):
+    # refused, not a wrong sequence.
+    for p in (1e15, 1e300):
+        with pytest.raises(ValueError, match=r"^p is too large: t\*\*p is not resolved"):
+            t_sequence(3, p, 2)
+
+
+def test_scale_search_stops_where_floats_are_coarser_than_its_step():
+    # Past t = 2^13 adjacent floats lie more than DEFAULT_TOL apart; the
+    # search stops there instead of halving the same bracket forever.
+    for t_prev in (10000.0, 1e6):
+        t = covering._next_scale(2, 2.0, t_prev, 2 * t_prev**2)
+        assert t_prev < t < t_prev + 1.0
+        assert abs((t - 1.0) ** 2 + t**2 - 2 * t_prev**2) <= bodies.TOL * 2 * t_prev**2
 
 
 def test_t_sequence_validation():
