@@ -63,6 +63,71 @@ def _write_blocks(lines, sep="\n", end="\n", start="", restart="") -> None:
         start = restart
 
 
+def _listing(spec: lattice_sets.LatticeSetSpec):
+    """The lines "z1,...,zn" of spec's members, in lexicographic order.
+
+    In that order a member is a head a in M(h, k) followed by a tail in
+    M(t, k - |a|), t = n - h.  The text of every tail set M(t, j),
+    j = 0..k, is built once, and a head's lines are its prefix
+    "a1,...,ah," put before each line of its tail text: string work per
+    head instead of a template per point.  The tail texts grow a level at
+    a time.  Level 1 is one text, the values v of M(1, k), of which the
+    lines of M(1, j) are a run; level t + 1 puts each "v," of M(1, j)
+    before level t at j - |v|.  A level is built while it takes away
+    more heads than it costs blocks, up to t = n - 1 (n = 1 has level 1
+    only), and until the levels built add up to more than 16 * _BLOCK
+    bytes: the cache is about one block of text at any n and k.  At t = 0
+    the tail is the empty line and each head is one point, formatted by
+    one template.
+    """
+    n, k, signed = spec.n, spec.k, spec.kind == lattice_sets.M2
+    cap = 16 * _BLOCK
+    zero = k if signed else 0  # the index of 0 in values
+    values = range(-zero, k + 1)
+    # The tail text of M(t, j) is text[firsts[j]:lasts[j]].  At t = 0 it is
+    # the empty line for every j: k + 1 zero bytes, as k may be huge there.
+    t, text, firsts, lasts = 0, "", bytes(k + 1), bytes(k + 1)
+
+    def size(h):
+        return lattice_sets.count(lattice_sets.LatticeSetSpec(spec.kind, h, k))
+
+    def block(prefix, j):
+        return prefix + text[firsts[j]:lasts[j]].replace("\n", "\n" + prefix)
+
+    if len(values) <= cap:  # each line takes a byte at least
+        words = list(map(str, values))
+        # Line i of the text runs from starts[i] to starts[i + 1] - 1.
+        starts = [0, *itertools.accumulate(map((1).__add__, map(len, words)))]
+        built = starts[-1] - 1
+        if built <= cap:
+            t, text = 1, "\n".join(words)
+            firsts = starts[zero::-1] if signed else firsts
+            lasts = list(map((-1).__add__, starts[zero + 1:]))
+    # Level t + 1 costs a block per pair (j, v) and takes away the heads
+    # that it moves into the tail, one or two at k = 1 and none at k = 0.
+    blocks_per_level = (k + 1) ** 2 if signed else (k + 1) * (k + 2) // 2
+    while 0 < t < n - 1 and k > 1 and size(n - t) - size(n - t - 1) > blocks_per_level:
+        texts = []
+        for j in range(k + 1):
+            run = slice(zero - j if signed else 0, zero + j + 1)
+            prefixes = (word + "," for word in words[run])
+            leftovers = map(j.__sub__, map(abs, values[run]))
+            texts.append("\n".join(map(block, prefixes, leftovers)))
+            built += len(texts[-1])
+            if built > cap:
+                break
+        if built > cap:
+            break
+        lasts = list(itertools.accumulate(map(len, texts)))
+        t, text, firsts = t + 1, "".join(texts), [0, *lasts[:-1]]
+    h = n - t
+    template = ",".join(["%d"] * h) + ("," if h and t else "")
+    heads = [()] if h == 0 else lattice_sets.enumerate_points(
+        lattice_sets.LatticeSetSpec(spec.kind, h, k))
+    blocks = (block(template % a, k - sum(map(abs, a))) for a in heads)
+    return itertools.chain.from_iterable(map(str.split, blocks, itertools.repeat("\n")))
+
+
 def _cmd_count(args) -> int:
     value = lattice_sets.count(lattice_sets.LatticeSetSpec(args.set, args.n, args.k))
     record = {"set": args.set, "n": args.n, "k": args.k, "count": str(value)}
@@ -73,10 +138,8 @@ def _cmd_count(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     spec = lattice_sets.LatticeSetSpec(args.set, args.n, args.k)
-    template = ",".join(["%d"] * args.n)
-    lines = (template % z for z in lattice_sets.enumerate_points(spec))
     record = {"set": args.set, "n": args.n, "k": args.k, "points": []}
-    _render(args.format, record, lines=lines, array="points")
+    _render(args.format, record, lines=_listing(spec), array="points")
     return 0
 
 

@@ -24,11 +24,21 @@ from . import asymptotics, bodies, lattice_sets
 from .bodies import BodySpec, CROSSPOLYTOPE, LP, SIMPLEX
 from .lattice_sets import LatticeSetSpec
 
-# Most checks one verification may start: samples·n sampled coordinates
-# (times k + 1 for a curved body) plus (k + 1)·(min(n, k) + 10) for the
-# level count of the sweep.  Its slowest admitted run, n = 1 at k =
-# 9,090,908, takes about 12 s on one core; n = k = 9,994 takes 0.25 s.
+# Most checks one verification may start: samples·n sampled coordinates,
+# each counted as SAMPLE_WEIGHT checks for an exact body and k + 1 for a
+# curved one, plus (k + 1)·(min(n, k) + 10) for the level count of the
+# sweep.  Its slowest admitted sweep, n = 1 at k = 9,090,901 with one
+# sample, takes about 5 s on one core; n = k = 9,959 takes 0.25 s; and
+# samples·n = 1,428,571 exact coordinates take about 6 s.
 MAX_CHECKS = 10**8
+# Sweep checks per exact sampled coordinate, measured on Python 3.11 (one
+# core of a 2-CPU host): a coordinate costs about 4.2 us (verify-cover
+# --body crosspolytope --n 100000 --k 1, --samples 8 less --samples 4,
+# over 400,000 coordinates), a sweep check about 0.062 us (--body
+# simplex --n 1 --k 1000000 --samples 1, 11,000,012 checks, less the
+# start-up of a k = 1 run).  So --samples 999 at n = 100000, minutes
+# of sampling, is refused.
+SAMPLE_WEIGHT = 70
 
 
 @dataclass(frozen=True)
@@ -183,24 +193,26 @@ def _verify(base: BodySpec, k: int, samples: int, seed: int) -> CoveringReport:
     of enumerating them.  Module functions are looked up at call time,
     so wrappers see them.  Before any of this, a run of more than
     MAX_CHECKS checks is refused: samples times n sampled coordinates,
-    times the k + 1 peel steps of a curved body, plus for a polytopal
-    body the k + 1 levels of the sweep at min(n, k) + 10 each.
+    times SAMPLE_WEIGHT for a polytopal body or the k + 1 peel steps of
+    a curved one, plus for a polytopal body the k + 1 levels of the
+    sweep at min(n, k) + 10 each.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     spec = _translation_set(base, k)
     n, polytopal = base.n, base.is_polytopal
     # A sweep level is a few Python steps and one big-integer step whose
-    # size grows with min(n, k).  A curved sample is peeled by up to k
-    # moves and k + 1 membership tests, each O(n).
+    # size grows with min(n, k).  An exact sampled coordinate is drawn,
+    # decomposed and re-checked in Fractions.  A curved sample is peeled
+    # by up to k moves and k + 1 membership tests, each O(n).
     levels, width = (k + 1, min(n, k) + 10) if polytopal else (0, 0)
-    steps = 1 if polytopal else k + 1
+    steps = SAMPLE_WEIGHT if polytopal else k + 1
     checks = levels * width + samples * n * steps
     if checks > MAX_CHECKS:
         sweep = f"{levels} levels x min(n, k) + 10 = {width} + " if polytopal else ""
-        peel = "" if polytopal else f" x k + 1 = {steps}"
-        raise ValueError(f"verification needs {checks} checks ({sweep}{samples} "
-                         f"samples x n = {n}{peel}), over the budget of {MAX_CHECKS}")
+        weight = f"{steps} per exact coordinate" if polytopal else f"k + 1 = {steps}"
+        raise ValueError(f"verification needs {checks} checks ({sweep}{samples} samples "
+                         f"x n = {n} x {weight}), over the budget of {MAX_CHECKS}")
     scaled = _inflated(base, k)
     report = CoveringReport(
         kind=f"{spec.kind}-{base.family}", n=n, k=k, p=base.p, samples=samples, seed=seed

@@ -5,11 +5,13 @@ boxes, Pascal's triangle built by addition, the Delannoy term sum, and
 closed-form roots of small polynomials.  None of it shares code with
 src/hadcover, except reference_sweep and reference_peel, which run the
 package's general membership tests at every translate vertex and
-before every peel move.
+before every peel move, and reference_listing, which renders the
+package's enumeration one point at a time.
 """
 
 from fractions import Fraction
 from itertools import product
+import json
 import math
 
 from hadcover import bodies, lattice_sets
@@ -49,6 +51,21 @@ def box_points_m1(n, k):
 def box_points_m2(n, k):
     box = range(-k, k + 1)
     return sorted(t for t in product(box, repeat=n) if sum(map(abs, t)) <= k)
+
+
+def reference_listing(kind, n, k, fmt="plain"):
+    """The bytes of `enumerate`, each point rendered by one %d template.
+
+    Points come from lattice_sets.enumerate_points, which the suite
+    checks against the box scans; plain is one line per point, json one
+    json.dumps of the whole record.
+    """
+    template = ",".join(["%d"] * n)
+    points = lattice_sets.enumerate_points(lattice_sets.LatticeSetSpec(kind, n, k))
+    if fmt == "json":
+        record = {"set": kind, "n": n, "k": k, "points": [list(z) for z in points]}
+        return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    return "".join(template % z + "\n" for z in points)
 
 
 def box_escaping_vertices(family, n, k, limit):

@@ -387,19 +387,65 @@ def test_render_streams_a_json_list_one_block_at_a_time(monkeypatch):
     assert "".join(text for _, text in writes) == want
 
 
-def test_json_listing_memory_is_one_block():
-    # The whole m1(8, 9) list of 24,310 points, dumped at once, peaks at
-    # about 6 MB of Python allocations; streamed, near the plain listing's 0.6 MB.
-    argv = ["enumerate", "--set", "m1", "--n", "8", "--k", "9", "--format", "json"]
+def _traced_peak(argv):
+    """Peak bytes of Python allocations while main(argv) writes to devnull."""
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        assert main(argv) == 0  # warm-up: the parser and the imports are built
+        # Warm-up: the parser and the imports are built.
+        assert main(["enumerate", "--set", "m1", "--n", "2", "--k", "1"]) == 0
         tracemalloc.start()
         try:
             assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+
+def test_json_listing_memory_is_one_block():
+    # The whole m1(8, 9) list of 24,310 points, dumped at once, peaks at
+    # about 6 MB of Python allocations; streamed, near the plain listing's 0.6 MB.
+    peak = _traced_peak(["enumerate", "--set", "m1", "--n", "8", "--k", "9", "--format", "json"])
     assert peak < 1.5e6, peak
+
+
+def test_listing_memory_does_not_grow_with_k():
+    # m1(2, 1000) has 501,501 points.  Its tails M(1, j) are runs of one
+    # 1,001-line text; a text cached per j would hold every point, about
+    # 2.4 MB, where the run peaks near 0.64 MB.
+    peak = _traced_peak(["enumerate", "--set", "m1", "--n", "2", "--k", "1000"])
+    assert peak < 1.5e6, peak
+
+
+# Small shapes, one point (k = 0), a wide set, and long single-coordinate
+# tails: with the tail cache capped at 16 * _BLOCK bytes, the patched
+# blocks give tails of no coordinate, of some, and of all but the first
+# (or all, at n = 1).
+_LISTING_GRID = ([(kind, n, k) for kind in ("m1", "m2") for n in range(1, 5) for k in range(5)]
+                 + [("m2", 9, 0), ("m1", 6, 5), ("m2", 30, 2), ("m1", 2, 300), ("m2", 1, 5000)])
+
+
+def test_listing_bytes_match_the_per_point_rendering(capsys, monkeypatch):
+    expected = {(shape, fmt): oracles.reference_listing(*shape, fmt)
+                for shape in _LISTING_GRID for fmt in ("plain", "json")}
+    heads = []
+    enumerate_points = lattice_sets.enumerate_points
+
+    def spy(spec):
+        heads.append(spec.n)
+        return enumerate_points(spec)
+
+    monkeypatch.setattr(lattice_sets, "enumerate_points", spy)
+    tails = set()
+    for block in (1, 64, 4096):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        for (kind, n, k), fmt in expected:
+            heads.clear()
+            argv = ("enumerate", "--set", kind, "--n", str(n), "--k", str(k), "--format", fmt)
+            assert run_cli(capsys, *argv) == (0, expected[(kind, n, k), fmt], ""), (block, argv)
+            # The heads are the last points enumerated; with no head the tail is all of z.
+            t = n - (heads[-1] if heads else 0)
+            tails.add("none" if t == 0 else "middle" if t < n - 1 else "all but the head"
+                      if t == n - 1 else "all")
+    assert tails == {"none", "middle", "all but the head", "all"}
 
 
 def test_closed_pipe_exits_141_quietly():

@@ -207,11 +207,14 @@ def test_translate_sweep_counts_escaping_vertices(monkeypatch):
 
 def test_check_budget_is_exact_and_refuses_before_any_work(monkeypatch):
     # The cross-polytope sweep at n = 2, k = 1 counts k + 1 = 2 levels at
-    # min(n, k) + 10 = 11 each: 22 checks, plus 4 samples x n = 2 is 30.
-    # A curved body has no sweep; each sample costs n checks per peel
-    # step, k + 1 of them, so 5 samples x n = 2 x 3 at k = 2.
-    monkeypatch.setattr(covering, "MAX_CHECKS", 30)
+    # min(n, k) + 10 = 11 each: 22 checks, plus 4 samples x n = 2 exact
+    # coordinates at SAMPLE_WEIGHT = 70 each is 582.  A curved body has
+    # no sweep; each sample costs n checks per peel step, k + 1 of them,
+    # so 5 samples x n = 2 x 3 at k = 2 is 30.
+    assert covering.SAMPLE_WEIGHT == 70
+    monkeypatch.setattr(covering, "MAX_CHECKS", 582)
     assert verify_covering_exact("crosspolytope", 2, 1, samples=4, seed=1).ok
+    monkeypatch.setattr(covering, "MAX_CHECKS", 30)
     assert verify_covering_lp("lp", 2, 2.0, 2, samples=5, seed=1).ok
     monkeypatch.setattr(covering, "MAX_CHECKS", 29)
 
@@ -219,16 +222,31 @@ def test_check_budget_is_exact_and_refuses_before_any_work(monkeypatch):
         raise AssertionError("sampled before the budget check")
 
     monkeypatch.setattr(bodies, "sample_boundary", no_work)
-    with pytest.raises(ValueError, match=r"^verification needs 30 checks \(2 levels "
-                       r"x min\(n, k\) \+ 10 = 11 \+ 4 samples x n = 2\), "
-                       r"over the budget of 29$"):
+    with pytest.raises(ValueError, match=r"^verification needs 582 checks \(2 levels "
+                       r"x min\(n, k\) \+ 10 = 11 \+ 4 samples x n = 2 x 70 per exact "
+                       r"coordinate\), over the budget of 29$"):
         verify_covering_exact("crosspolytope", 2, 1, samples=4, seed=1)
     with pytest.raises(ValueError, match=r"^verification needs 30 checks \(5 samples "
                        r"x n = 2 x k \+ 1 = 3\), over the budget of 29$"):
         verify_covering_lp("lp", 2, 2.0, 2, samples=5, seed=1)
-    # The simplex at n = 3, k = 2: 3 levels at 12 each, plus 1 sample x n = 3.
-    with pytest.raises(ValueError, match=r"^verification needs 39 checks \(3 levels"):
+    # The simplex at n = 3, k = 2: 3 levels at 12 each, plus 1 sample x n = 3 x 70.
+    with pytest.raises(ValueError, match=r"^verification needs 246 checks \(3 levels"):
         verify_covering_exact("simplex", 3, 2, samples=1, seed=1)
+    monkeypatch.setattr(covering, "MAX_CHECKS", 581)
+    with pytest.raises(ValueError, match=r"^verification needs 582 checks "):
+        verify_covering_exact("crosspolytope", 2, 1, samples=4, seed=1)
+
+
+def test_exact_samples_are_charged_on_the_sweep_scale(monkeypatch):
+    # At n = 100000 an exact sample takes about 0.42 s, so 999 samples
+    # would run for minutes; 14 samples, about 6 s, are the most admitted.
+    def no_work(*args):
+        raise AssertionError("sampled before the budget check")
+
+    monkeypatch.setattr(bodies, "sample_boundary", no_work)
+    for samples, checks in ((999, 6993000022), (15, 105000022)):
+        with pytest.raises(ValueError, match=rf"^verification needs {checks} checks"):
+            verify_covering_exact("crosspolytope", 100000, 1, samples=samples, seed=1)
 
 
 def test_level_sweep_matches_the_enumerating_oracles():
