@@ -6,12 +6,11 @@ signed count m2(n, cn) is sandwiched between 2^(cn) C(n, cn) and
 2^(cn) C(n+cn, cn).  Equating these growth rates to 2 yields the
 constants c1, c3, c4 that govern how fast the 2^n-translate bounds
 approach their limits.  A threshold k(n) is the largest k whose count
-fits in 2^n.  A float estimate of the log-count picks the first k the
-search probes; every k returned is certified by two exact big-integer
-comparisons, count(k) <= 2^n < count(k+1).  Where a count has an exact
-step ratio (the simplex and k1), the neighbour of a known count comes
-from one big-by-small multiply and divide, so a correct estimate costs
-one full count.
+fits in 2^n; every k returned is certified by two exact big-integer
+comparisons, count(k) <= 2^n < count(k+1).  The cross-polytope walks its
+Delannoy row up to the first count past 2^n, the work of one count.  The
+simplex and k1, where one math.comb beats that walk, make one full count
+at a float estimate of k and step from it by their exact count ratios.
 """
 
 from __future__ import annotations
@@ -22,10 +21,15 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .bodies import BodySpec
-from .combinatorics import m1_count, m2_count_closed
+# bench/tracing.py patches asymptotics.m2_count_closed; a traced run fails without it.
+from .combinatorics import count_row, m1_count, m2_count_closed  # noqa: F401
 
 # Bracket width and residual at which every bisection of the package stops.
 DEFAULT_TOL = 1e-12
+# Most sum of n^2 over one convergence table.  A threshold costs about c n^2:
+# at n = 2^18 the cross-polytope row walk takes 3.1 s and the simplex 0.47 s
+# (Python 3.11, one core of a 2-CPU host), so one n = 262,144 is admitted.
+MAX_TABLE_WORK = 2**36
 
 
 @dataclass(frozen=True)
@@ -159,10 +163,11 @@ def k_of_n_simplex(n: int) -> int:
 
 
 def k_max_crosspolytope(n: int) -> int:
-    """Largest k with m2(n, k) <= 2^n, by exact comparison."""
+    """Largest k with m2(n, k) <= 2^n, by a walk up the Delannoy row."""
     target = _budget(n)
-    start = _predict_k(lambda k: _log_delannoy(n, k), n, target)
-    return _largest_k(lambda k: m2_count_closed(n, k), target, start)
+    for k, count in enumerate(count_row(True, n)):
+        if count > target:
+            return k - 1  # D(n, 0) = 1 fits, so k >= 1 here
 
 
 def _budget(n: int) -> int:
@@ -174,31 +179,6 @@ def _budget(n: int) -> int:
 def _log_comb(a: int, b: int) -> float:
     """ln C(a, b) in floats."""
     return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
-
-
-def _log_delannoy(n: int, k: int) -> float:
-    """Saddle-point estimate of ln D(n, k), the log of the Delannoy sum.
-
-    With c = k/n the dominant term sits at i = x n, x = 1 + c - sqrt(1 + c^2).
-    Its exponent n phi(x), phi(x) = x ln 2 + H(x) + c H(x/c) with H the
-    natural-log entropy, less half the log of 2 pi n |phi''| x^2 (1-x)(1-x/c),
-    where |phi''| = 1/(x(1-x)) + c/(x(c-x)), gives the sum.
-    """
-    if k == 0:
-        return 0.0
-    c = k / n
-    # 1 + c - sqrt(1 + c^2), the smaller root of x^2 - 2(1+c) x + 2c, taken
-    # as the product 2c of the roots over the larger one: no cancellation,
-    # so x < c holds in floats for small c too.
-    x = 2.0 * c / (1.0 + c + math.sqrt(1.0 + c * c))
-    phi = x * math.log(2.0) + _entropy(x) + c * _entropy(x / c)
-    curvature = 1.0 / (x * (1.0 - x)) + c / (x * (c - x))
-    return n * phi - 0.5 * math.log(
-        2.0 * math.pi * n * curvature * x * x * (1.0 - x) * (1.0 - x / c))
-
-
-def _entropy(q: float) -> float:
-    return -q * math.log(q) - (1.0 - q) * math.log1p(-q)
 
 
 def _predict_k(log_count: Callable[[int], float], n: int, target: int) -> int:
@@ -213,18 +193,15 @@ def _predict_k(log_count: Callable[[int], float], n: int, target: int) -> int:
 
 
 def _largest_k(count: Callable[[int], int], target: int, start: int,
-               ratio: Callable[[int], tuple[int, int]] | None = None) -> int:
+               ratio: Callable[[int], tuple[int, int]]) -> int:
     # The k with count(k) <= target < count(k+1), by a walk from start:
     # one full count there, then one step at a time, down while the count
-    # exceeds target, otherwise up while the next count fits.  With
-    # ratio(k) = (num, den), count(k+1) = count(k) * num / den exactly and
-    # a step is one big-by-small multiply and divide; without it a step is
-    # a full count.  count(0) <= target stops the walk down at k >= 0.  A
-    # wrong start costs steps, never the certificate.
+    # exceeds target, otherwise up while the next count fits.  ratio(k) =
+    # (num, den) gives count(k+1) = count(k) * num / den exactly, so a step
+    # is one big-by-small multiply and divide.  count(0) <= target stops the
+    # walk down at k >= 0.  A wrong start costs steps, never the certificate.
     def step(k: int, value: int, d: int) -> int:
         # count(k + d), for d = 1 or -1.
-        if ratio is None:
-            return count(k + d)
         num, den = ratio(min(k, k + d))
         return value * num // den if d > 0 else value * den // num
 
@@ -262,8 +239,16 @@ def k1_k2_of_n(n: int) -> tuple[int, int]:
 def convergence_table(
     family: str, n_list: Sequence[int], p: float = 1.0
 ) -> list[ConvergenceRow]:
-    """Exact threshold k and finite-n bound (n/(n+k))^(1/p) for each n."""
+    """Exact threshold k and finite-n bound (n/(n+k))^(1/p) for each n.
+
+    A list whose sum of n^2 passes MAX_TABLE_WORK is refused before any
+    threshold runs.
+    """
     body = BodySpec(family, 1, p)
+    work = sum(n * n for n in n_list)
+    if work > MAX_TABLE_WORK:
+        raise ValueError(f"the table needs sum n^2 = {work} over its dimensions, "
+                         f"over the budget of {MAX_TABLE_WORK}")
     threshold = k_of_n_simplex if body.nonnegative else k_max_crosspolytope
     rows = []
     for n in n_list:

@@ -12,14 +12,17 @@ Two families of translation sets drive every covering construction here:
   computed by two routes: the three-term recurrence in ``k`` and the
   slice recurrence in ``n``.
 
-All counts are plain Python integers, so arithmetic is exact at any
-magnitude, and so is every comparison a threshold search makes against
-``2**n``.
+One generator, :func:`count_row`, streams both rows N(n, 0), N(n, 1), ...;
+the Delannoy count, the translate sweep and the cross-polytope threshold
+read it.  All counts are plain Python integers, so arithmetic is exact at
+any magnitude, and so is every comparison against ``2**n``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from typing import Iterator
 
 
 def m1_count(n: int, k: int) -> int:
@@ -35,20 +38,29 @@ def m1_count(n: int, k: int) -> int:
 def m2_count_closed(n: int, k: int) -> int:
     """Number of integer vectors of length n with l1 norm <= k, by the k-recurrence.
 
-    The Delannoy numbers satisfy D(n, -1) = 0, D(n, 0) = 1 and
-
-        (j+1) D(n, j+1) = (2n+1) D(n, j) + j D(n, j-1),
-
-    run over the smaller index, as D(n, k) = D(k, n).  The division is
-    exact because the result is the next count, an integer.  That is
-    O(min(n, k)) steps, each a multiply by small ints.
+    Term min(n, k) of the Delannoy row of max(n, k), as D(n, k) = D(k, n):
+    O(min(n, k)) steps of :func:`count_row`, each a multiply by small ints.
     """
     _check_nk(n, k)
-    n, k = max(n, k), min(n, k)
-    prev, cur = 0, 1
-    for j in range(k):
-        prev, cur = cur, ((2 * n + 1) * cur + j * prev) // (j + 1)
-    return cur
+    return next(itertools.islice(count_row(True, max(n, k)), min(n, k), None))
+
+
+def count_row(signed: bool, n: int) -> Iterator[int]:
+    """The counts of M2(n, j) (signed) or M1(n, j), j = 0, 1, ..., without end.
+
+    C(n+j, j) = C(n+j-1, j-1) (n+j) / j, and with D(n, -1) = 0, D(n, 0) = 1,
+    (j+1) D(n, j+1) = (2n+1) D(n, j) + j D(n, j-1).  Each division is exact,
+    as its result is the next count.  The n = 0 rows are all ones.
+    """
+    cur = 1
+    if not signed:
+        for j in itertools.count(1):
+            yield cur
+            cur = cur * (n + j) // j
+    grow, prev = 2 * n + 1, 0
+    for j in itertools.count():
+        yield cur
+        prev, cur = cur, (grow * cur + j * prev) // (j + 1)
 
 
 def m2_count_recurrence(n: int, k: int) -> int:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Sequence, Union
 
-from . import asymptotics, bodies, lattice_sets
+from . import asymptotics, bodies, combinatorics, lattice_sets
 from .bodies import BodySpec, CROSSPOLYTOPE, LP, SIMPLEX
 from .lattice_sets import LatticeSetSpec
 
@@ -247,8 +247,8 @@ def _sweep(base: BodySpec, scaled: BodySpec, k: int) -> tuple[int, int]:
     the l1 sum of the other coordinates.  N(j) translates have z_i = v and
     s <= j: C(n-1+j, j) for M1, D(n-1, j) for M2.  So the class (v, c) has
     N(k - |v|) - N(t) vertices outside, t = limit - |v + c|, per axis or
-    once for the origin.  One streamed row of N gives those and the slice
-    identity |M| = sum_v N(k - |v|), with O(1) big integers.
+    once for the origin.  One row of N (count_row) gives those and the
+    slice identity |M| = sum_v N(k - |v|), with O(1) big integers.
     """
     n, limit, signed = base.n, math.floor(scaled.bound), not base.nonnegative
     weight = Counter()  # failures = sum_j weight[j] * N(j), N(j < 0) = 0
@@ -259,12 +259,9 @@ def _sweep(base: BodySpec, scaled: BodySpec, k: int) -> tuple[int, int]:
                 weight[top] += n if c else 1
                 weight[t] -= n if c else 1
     translates = failures = 0
-    prev, cur = 0, 1  # N(j - 1), N(j)
-    for j in range(k + 1):
+    for j, cur in zip(range(k + 1), combinatorics.count_row(signed, n - 1)):
         translates += 2 * cur if signed and j < k else cur  # v = +-(k - j)
         failures += weight.get(j, 0) * cur
-        grow, back = (2 * n - 1, j) if signed else (n + j, 0)
-        prev, cur = cur, (grow * cur + back * prev) // (j + 1)
     return translates, failures
 
 

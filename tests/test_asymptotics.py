@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hadcover import asymptotics
+from hadcover import asymptotics, combinatorics
 from hadcover.asymptotics import (
     a_of_t,
     convergence_table,
@@ -186,35 +186,30 @@ def _recorded(count, probes):
 
 
 def test_thresholds_match_the_doubling_search(monkeypatch):
-    # The walk counts first at the predicted k, which must be within one
-    # of the answer: it is exact but for k_max at n = 11, one low.
-    m1_probes, m2_probes = [], []
+    # The simplex walk counts first at the predicted k, which must be
+    # within one of the answer.  k_max walks the Delannoy row, so it is
+    # certified by the term sum, a route that shares no code with the row.
+    m1_probes = []
     monkeypatch.setattr(asymptotics, "m1_count", _recorded(m1_count, m1_probes))
-    monkeypatch.setattr(asymptotics, "m2_count_closed", _recorded(m2_count_closed, m2_probes))
     for n in SEARCH_NS:
         cap = 1 << n
         want_k = oracles.reference_largest_k(lambda k: m1_count(n, k), cap)
-        want_kmax = oracles.reference_largest_k(lambda k: m2_count_closed(n, k), cap)
         want_k12 = (oracles.reference_largest_k(_k1_count(n), cap),
                     oracles.reference_largest_k(_k2_count(n), cap))
         m1_probes.clear()
-        m2_probes.clear()
         assert k_of_n_simplex(n) == want_k, n
-        assert k_max_crosspolytope(n) == want_kmax, n
         assert abs(m1_probes[0] - want_k) <= 1, n
-        assert abs(m2_probes[0] - want_kmax) <= 1, n
+        kmax = k_max_crosspolytope(n)
+        assert oracles.delannoy_sum(n, kmax) <= cap < oracles.delannoy_sum(n, kmax + 1), n
         assert k1_k2_of_n(n) == want_k12, n
 
 
 def test_largest_k_is_exact_from_every_start():
-    # With a ratio, every step up or down from the start is derived from
-    # the count before it; start = 0 is the walk's lowest start.
+    # Every step up or down from the start is derived from the count
+    # before it by the ratio; start = 0 is the walk's lowest start.
     for n in (1, 2, 3, 11, 64, 257):
         cap = 1 << n
-        for count, ratio in ((lambda k: m1_count(n, k), None),
-                             (lambda k: m1_count(n, k), lambda k: (n + k + 1, k + 1)),
-                             (lambda k: m2_count_closed(n, k), None),
-                             (_k1_count(n), None),
+        for count, ratio in ((lambda k: m1_count(n, k), lambda k: (n + k + 1, k + 1)),
                              (_k1_count(n), lambda k: (2 * (n + k + 1), k + 1))):
             k = oracles.reference_largest_k(count, cap)
             for start in range(2 * k + 6):
@@ -222,18 +217,9 @@ def test_largest_k_is_exact_from_every_start():
 
 
 def test_largest_k_walks_one_step_at_a_time():
-    # Without a ratio the walk counts each k between start and the answer
-    # once, in order: down to the answer, or up to the first k that fails.
-    # With a ratio only the start is counted in full.
+    # Only the start is counted in full; every other step is derived.
     for n in (1, 2, 3, 11, 64, 257):
         cap = 1 << n
-        for count in (lambda k: m1_count(n, k), lambda k: m2_count_closed(n, k), _k1_count(n)):
-            k = oracles.reference_largest_k(count, cap)
-            for start in range(2 * k + 6):
-                probes = []
-                assert asymptotics._largest_k(_recorded(count, probes), cap, start) == k
-                want = range(start, k - 1, -1) if start > k else range(start, k + 2)
-                assert probes == list(want), (n, start)
         ratio = lambda k: (n + k + 1, k + 1)
         k = oracles.reference_largest_k(lambda k: m1_count(n, k), cap)
         for start in range(2 * k + 6):
@@ -248,7 +234,7 @@ def test_supplied_ratios_are_exact_up_and_down(monkeypatch):
     # count(k + 1) and count(k + 1) den / num is count(k), with no remainder.
     search, searches = asymptotics._largest_k, []
 
-    def record(count, target, start, ratio=None):
+    def record(count, target, start, ratio):
         searches.append((count, ratio))
         return search(count, target, start, ratio)
 
@@ -266,19 +252,27 @@ def test_supplied_ratios_are_exact_up_and_down(monkeypatch):
                 assert divmod(counts[k + 1] * den, num) == (counts[k], 0), (n, k)
 
 
-# The simplex derives count(k + 1) from count(k) by its ratio, so one
-# full count remains; the cross-polytope has no ratio and counts both.
-@pytest.mark.parametrize("threshold, count, full", [
-    (k_of_n_simplex, m1_count, 1), (k_max_crosspolytope, m2_count_closed, 2)],
-    ids=["m1_count-k_of_n_simplex", "m2_count_closed-k_max_crosspolytope"])
-def test_predicted_start_costs_two_probes(monkeypatch, threshold, count, full):
+def test_predicted_start_costs_two_probes(monkeypatch):
+    # The simplex derives count(k + 1) from count(k) by its ratio, so one
+    # full count remains.
     probes = []
-    monkeypatch.setattr(asymptotics, count.__name__, _recorded(count, probes))
+    monkeypatch.setattr(asymptotics, "m1_count", _recorded(m1_count, probes))
     for n in (1024, 2048, 4096, 8192, 2**14):
         probes.clear()
-        k = threshold(n)
-        assert probes == [k, k + 1][:full], n
-        assert count(n, k) <= 1 << n < count(n, k + 1), n
+        k = k_of_n_simplex(n)
+        assert probes == [k], n
+        assert m1_count(n, k) <= 1 << n < m1_count(n, k + 1), n
+
+
+def test_k_max_crosspolytope_makes_no_full_count(monkeypatch):
+    # The threshold walks the Delannoy row once; a full count would raise.
+    def no_count(*args):
+        raise AssertionError("made a full Delannoy count")
+
+    for module in (asymptotics, combinatorics):
+        monkeypatch.setattr(module, "m2_count_closed", no_count)
+    for n, want in ((1, 0), (3, 1), (11, 3), (4096, 878), (8192, 1755), (2**14, 3508)):
+        assert k_max_crosspolytope(n) == want, n
 
 
 def test_threshold_ratio_approaches_root():
@@ -319,6 +313,23 @@ def test_convergence_table_bounds_approach_limit():
     limit = 1.0 / (1.0 + growth_constants().c1)
     assert all(0 < b < limit for b in bounds)
     assert bounds[-1] >= limit - 0.02
+
+
+def test_convergence_table_refuses_before_any_threshold(monkeypatch):
+    # 3^2 + 4^2 = 25 fits a budget of 25 and not one of 24.
+    monkeypatch.setattr(asymptotics, "MAX_TABLE_WORK", 25)
+    assert [row.k for row in convergence_table("crosspolytope", [3, 4])] == [1, 1]
+    monkeypatch.setattr(asymptotics, "MAX_TABLE_WORK", 24)
+
+    def no_work(n):
+        raise AssertionError("ran a threshold before the budget check")
+
+    monkeypatch.setattr(asymptotics, "k_of_n_simplex", no_work)
+    monkeypatch.setattr(asymptotics, "k_max_crosspolytope", no_work)
+    for family in ("simplex", "crosspolytope"):
+        with pytest.raises(ValueError, match=r"^the table needs sum n\^2 = 25 over its "
+                           r"dimensions, over the budget of 24$"):
+            convergence_table(family, [3, 4])
 
 
 def test_convergence_table_validation():

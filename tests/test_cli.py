@@ -204,6 +204,7 @@ def test_domain_errors_exit_2(capsys):
         "verify-cover --body simplex --n 1 --k 10000000 --samples 1",
         "verify-cover --body lp --n 2 --k 1000000 --p 1.01 --samples 1000",
         "verify-cover --body crosspolytope --n 100000 --k 100000",
+        "converge --body lp --n-list 99999999 --p 2",
     ):
         code, out, err = run_cli(capsys, *argv.split())
         assert code == 2, argv

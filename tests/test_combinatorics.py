@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import pytest
 
 from hadcover.combinatorics import (
+    count_row,
     m1_count,
     m2_count_closed,
     m2_count_recurrence,
@@ -65,6 +67,15 @@ def test_m2_closed_equals_recurrence_equals_enumeration():
             expected = oracles.recursive_count_m2(n, k)
             assert m2_count_closed(n, k) == expected
             assert m2_count_recurrence(n, k) == expected
+
+
+def test_count_rows_match_comb_and_the_delannoy_sum():
+    # n = 0 is the row the translate sweep reads at n = 1.
+    for n in range(41):
+        m1_row, m2_row = (list(itertools.islice(count_row(signed, n), 41))
+                          for signed in (False, True))
+        assert m1_row == [math.comb(n + j, j) for j in range(41)], n
+        assert m2_row == [oracles.delannoy_sum(n, j) for j in range(41)], n
 
 
 def test_m2_delannoy_sum_equals_recurrence():
