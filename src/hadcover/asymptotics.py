@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .bodies import BodySpec
 # bench/tracing.py patches asymptotics.m2_count_closed; a traced run fails without it.
@@ -32,8 +31,7 @@ DEFAULT_TOL = 1e-12
 MAX_TABLE_WORK = 2**36
 
 
-@dataclass(frozen=True)
-class GrowthConstants:
+class GrowthConstants(NamedTuple):
     """Solved growth-rate roots: simplex (c1) and the m2 sandwich (c3, c4)."""
 
     c1: float
@@ -41,8 +39,7 @@ class GrowthConstants:
     c4: float
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     """One table row: the exact threshold k at dimension n and the bound."""
 
     n: int

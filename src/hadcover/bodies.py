@@ -14,10 +14,9 @@ import contextlib
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 SIMPLEX = "simplex"
 CROSSPOLYTOPE = "crosspolytope"
@@ -32,23 +31,26 @@ Scale = Union[int, Fraction, float]
 TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BodySpec:
+class _BodyFields(NamedTuple):
+    family: str
+    n: int
+    p: float = 1.0
+    scale: Scale = Fraction(1)
+
+
+class BodySpec(_BodyFields):
     """A normalized body together with a positive scale multiplier.
 
     scale=1 is the normalized body (defining sum bounded by n).  The
     scale must be exact (int or Fraction) for the polytopal families;
     a float scale is accepted only for p > 1, where membership is
     decided numerically anyway and :attr:`bound` must be a finite
-    float.  p must be finite and >= 1.
+    float.  p must be finite and >= 1.  Instances are immutable; they
+    keep a ``__dict__`` only for the cached :attr:`bound`.
     """
 
-    family: str
-    n: int
-    p: float = 1.0
-    scale: Scale = Fraction(1)
-
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown body family: {self.family!r}")
         if self.n < 1:
@@ -66,8 +68,14 @@ class BodySpec:
         # Kept last, as it returns early.  Polytopal bounds are exact.
         with contextlib.suppress(OverflowError):
             if self.is_polytopal or math.isfinite(self.bound):
-                return
+                return self
         raise ValueError("scale**p * n must be a finite float")
+
+    # Through __new__, so that _replace validates as construction does.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def is_polytopal(self) -> bool:
@@ -87,7 +95,7 @@ class BodySpec:
         return self.family in (SIMPLEX, QUARTER_LP)
 
     def rescaled(self, scale: Scale) -> "BodySpec":
-        return BodySpec(self.family, self.n, self.p, scale)
+        return self._replace(scale=scale)
 
     def pth_root(self, num: int, den: int) -> Scale:
         """(num/den)^(1/p): an exact Fraction for polytopal bodies, else a float."""

@@ -129,8 +129,9 @@ def _listing(spec: lattice_sets.LatticeSetSpec):
 
 
 def _cmd_count(args) -> int:
-    value = lattice_sets.count(lattice_sets.LatticeSetSpec(args.set, args.n, args.k))
-    record = {"set": args.set, "n": args.n, "k": args.k, "count": str(value)}
+    # One decimal conversion for every format: it is quadratic in the digits up to 3.11.
+    value = str(lattice_sets.count(lattice_sets.LatticeSetSpec(args.set, args.n, args.k)))
+    record = {"set": args.set, "n": args.n, "k": args.k, "count": value}
     _render(args.format, record, rows=[list(record), list(record.values())],
             lines=[value])
     return 0

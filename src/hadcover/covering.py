@@ -15,10 +15,9 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from . import asymptotics, bodies, combinatorics, lattice_sets
 from .bodies import BodySpec, CROSSPOLYTOPE, LP, SIMPLEX
@@ -39,10 +38,13 @@ MAX_CHECKS = 10**8
 # start-up of a k = 1 run).  So --samples 999 at n = 100000, minutes
 # of sampling, is refused.
 SAMPLE_WEIGHT = 70
+# Most scale steps one t_sequence may take.  A p > 1 step is a float bisection
+# of 20-35 us, slower as t grows: 3.1-3.3 s at k = 10^5 for (n, p) = (3, 2),
+# (2, 1.01) and (1000, 3) (Python 3.11, one core of a 2-CPU host); p = 1, 2 us.
+MAX_SCALE_STEPS = 10**5
 
 
-@dataclass(frozen=True)
-class WitnessDecomposition:
+class WitnessDecomposition(NamedTuple):
     """A translate z plus residual y - z certifying that y is covered."""
 
     z: tuple[int, ...]
@@ -50,8 +52,7 @@ class WitnessDecomposition:
     shell_level: int
 
 
-@dataclass(frozen=True)
-class TSequence:
+class TSequence(NamedTuple):
     """Certified scale factors t_{n,p,0..k}; exact Fractions when p = 1."""
 
     n: int
@@ -59,8 +60,7 @@ class TSequence:
     values: tuple
 
 
-@dataclass(frozen=True)
-class GammaBound:
+class GammaBound(NamedTuple):
     """m translates of rho * body suffice to cover the body."""
 
     m: int
@@ -68,9 +68,8 @@ class GammaBound:
     body: BodySpec
 
 
-@dataclass
-class CoveringReport:
-    """Outcome of a sampled covering verification.
+class CoveringReport(NamedTuple):
+    """Outcome of a sampled covering verification, built once at its end.
 
     witness_failures counts sampled points without a valid witness;
     translate_failures counts translate vertices escaping the scaled
@@ -84,14 +83,14 @@ class CoveringReport:
     p: float
     samples: int
     seed: int
-    witness_failures: int = 0
-    translate_failures: int = 0
-    translates_checked: int = 0
-    shell_levels: dict = field(default_factory=dict)
-    ok: bool = True
+    witness_failures: int
+    translate_failures: int
+    translates_checked: int
+    shell_levels: dict
+    ok: bool
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        out = self._asdict()
         levels = out.pop("shell_levels")
         out["success_rate"] = (self.samples - self.witness_failures) / self.samples
         out["shell_levels"] = {str(level): levels[level] for level in sorted(levels)}
@@ -214,9 +213,6 @@ def _verify(base: BodySpec, k: int, samples: int, seed: int) -> CoveringReport:
         raise ValueError(f"verification needs {checks} checks ({sweep}{samples} samples "
                          f"x n = {n} x {weight}), over the budget of {MAX_CHECKS}")
     scaled = _inflated(base, k)
-    report = CoveringReport(
-        kind=f"{spec.kind}-{base.family}", n=n, k=k, p=base.p, samples=samples, seed=seed
-    )
     if polytopal:
         decompose = decompose_simplex if base.nonnegative else decompose_crosspolytope
         inside = bodies.contains_exact
@@ -224,19 +220,18 @@ def _verify(base: BodySpec, k: int, samples: int, seed: int) -> CoveringReport:
         decompose = functools.partial(_peel, base)
         inside = bodies.contains_float
 
+    witness_failures, shells = 0, Counter()
     for y in bodies.sample_boundary(scaled, samples, seed):
         witness = decompose(n, k, y)
         residual = [c - w if w else c for c, w in zip(y, witness.z)]
         if not (lattice_sets.member(spec, witness.z) and inside(base, residual)):
-            report.witness_failures += 1
-        level = witness.shell_level
-        report.shell_levels[level] = report.shell_levels.get(level, 0) + 1
+            witness_failures += 1
+        shells[witness.shell_level] += 1
 
-    if polytopal:
-        report.translates_checked, report.translate_failures = _sweep(base, scaled, k)
-
-    report.ok = report.witness_failures == 0 and report.translate_failures == 0
-    return report
+    translates, translate_failures = _sweep(base, scaled, k) if polytopal else (0, 0)
+    ok = witness_failures == 0 and translate_failures == 0
+    return CoveringReport(f"{spec.kind}-{base.family}", n, k, base.p, samples, seed,
+                          witness_failures, translate_failures, translates, shells, ok)
 
 
 def _sweep(base: BodySpec, scaled: BodySpec, k: int) -> tuple[int, int]:
@@ -296,13 +291,16 @@ def t_sequence(n: int, p: float, k_max: int) -> TSequence:
 
     Each t_{k+1} is the root above t_k of (t - 1)^p + (n - 1) t^p = n t_k^p,
     within bodies.TOL of n t_k^p, or ValueError where no float is (p past
-    about TOL * 2^53).  For p = 1, t_k = (n + k)/n exactly.
+    about TOL * 2^53).  For p = 1, t_k = (n + k)/n exactly.  A k_max past
+    MAX_SCALE_STEPS is refused with ValueError before any step.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     BodySpec(LP, n, p)  # rejects p that is not finite or below 1
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
+    if k_max > MAX_SCALE_STEPS:
+        raise ValueError(f"k_max = {k_max} is over the budget of {MAX_SCALE_STEPS} scale steps")
     if p == 1:
         return TSequence(n, p, tuple(Fraction(n + j, n) for j in range(k_max + 1)))
     values = [1.0]

@@ -2,30 +2,48 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+import math
+from typing import Iterator, NamedTuple, Sequence
 
 from . import combinatorics
 
 M1 = "m1"
 M2 = "m2"
 
+# Most bit-steps one count may take, its decimal text included.  With
+# s = min(n, k) it has at most b = s log2(e (n + k) / s) bits, one more per
+# step for M2 (D(n, k) <= 2^s C(n + k, s) <= 2^s (e (n + k) / s)^s), and is
+# charged b (w s + b / 16): math.comb takes about 0.035 ns per bit-step,
+# w = 1, the Delannoy walk of M2 about 0.25 ns, w = 8, and b^2 / 16 is the
+# int-to-text conversion, quadratic up to Python 3.11.  At the budget m1(n, n)
+# at n = 220,936 and m2(n, n) at n = 69,710 take 3.2 s, and m2(10^207, 2000),
+# mostly text, 5.6 s (Python 3.11, one core of a 2-CPU host).
+MAX_COUNT_WORK = 2**37
 
-@dataclass(frozen=True)
-class LatticeSetSpec:
-    """Which translation set: m1 (nonnegative, sum <= k) or m2 (l1 norm <= k)."""
 
+class _SetFields(NamedTuple):
     kind: str
     n: int
     k: int
 
-    def __post_init__(self) -> None:
+
+class LatticeSetSpec(_SetFields):
+    """Which translation set: m1 (nonnegative, sum <= k) or m2 (l1 norm <= k)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in (M1, M2):
             raise ValueError(f"unknown lattice set kind: {self.kind!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.k < 0:
             raise ValueError("k must be >= 0")
+        return self
+
+    # Through __new__, so that _replace validates as construction does.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def enumerate_points(spec: LatticeSetSpec) -> Iterator[tuple[int, ...]]:
@@ -66,7 +84,14 @@ def member(spec: LatticeSetSpec, z: Sequence[int]) -> bool:
 
 
 def count(spec: LatticeSetSpec) -> int:
-    """Cardinality of the set, from the exact closed forms."""
-    if spec.kind == M1:
-        return combinatorics.m1_count(spec.n, spec.k)
-    return combinatorics.m2_count_closed(spec.n, spec.k)
+    """Cardinality of the set, from the exact closed forms; ValueError past MAX_COUNT_WORK."""
+    n, k, signed = spec.n, spec.k, spec.kind == M2
+    s = min(n, k, MAX_COUNT_WORK)  # a larger s is refused either way; capped, it fits a float
+    bits = s * (math.log2(n + k) - math.log2(s) + math.log2(math.e) + signed) if s else 0
+    work = bits * ((8 if signed else 1) * s + bits / 16)
+    if work > MAX_COUNT_WORK:
+        raise ValueError(f"the count of {spec.kind}(n={n}, k={k}) needs about {work:.3g} "
+                         f"bit-steps, over the budget of {MAX_COUNT_WORK}")
+    if signed:
+        return combinatorics.m2_count_closed(n, k)
+    return combinatorics.m1_count(n, k)

@@ -6,8 +6,6 @@ at call time, so wrapping those three names reaches both verifiers and
 the CLI.
 """
 
-import dataclasses
-
 import pytest
 
 from hadcover import covering
@@ -20,7 +18,7 @@ def _shifting(decompose, k_at):
     def broken(*args, **kwargs):
         witness = decompose(*args, **kwargs)
         z = witness.z
-        return dataclasses.replace(witness, z=(z[0] + args[k_at] + 1,) + z[1:])
+        return witness._replace(z=(z[0] + args[k_at] + 1,) + z[1:])
     return broken
 
 

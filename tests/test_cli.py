@@ -205,6 +205,10 @@ def test_domain_errors_exit_2(capsys):
         "verify-cover --body lp --n 2 --k 1000000 --p 1.01 --samples 1000",
         "verify-cover --body crosspolytope --n 100000 --k 100000",
         "converge --body lp --n-list 99999999 --p 2",
+        "count --set m2 --n 1000000 --k 1000000",
+        "gamma-bound --body crosspolytope --n 1000000 --k 1000000",
+        "count --set m1 --n 1000000 --k 1000000",
+        "tnpk --n 3 --p 2 --k 100000000",
     ):
         code, out, err = run_cli(capsys, *argv.split())
         assert code == 2, argv
@@ -224,6 +228,50 @@ def test_overflow_errors_name_the_argument(capsys):
          "error: p is too large: t**p is not resolved within 1e-09\n"),
     ):
         assert run_cli(capsys, *argv.split()) == (2, "", err_want), argv
+
+
+def test_huge_counts_are_refused_before_any_work(capsys, monkeypatch):
+    def no_count(*args):
+        raise AssertionError("counted past the budget")
+
+    monkeypatch.setattr(combinatorics, "m1_count", no_count)
+    monkeypatch.setattr(combinatorics, "m2_count_closed", no_count)
+    for argv, want in (
+        ("count --set m2 --n 1000000 --k 1000000", "m2(n=1000000, k=1000000) needs about 2.83e+13"),
+        ("gamma-bound --body lp --p 2 --n 1000000 --k 1000000", "m2(n=1000000, k=1000000)"),
+        ("count --set m1 --n 1000000 --k 1000000", "m1(n=1000000, k=1000000) needs about 2.82e+12"),
+        ("gamma-bound --body simplex --n 1000000 --k 1000000", "m1(n=1000000, k=1000000)"),
+        # n and k past the float range: the estimate stays finite, and refuses.
+        (f"count --set m1 --n {10**400} --k {10**400}", f"m1(n={10**400}, k={10**400})"),
+    ):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: the count of {want}") and err.count("\n") == 1, err
+        assert err.endswith(f" bit-steps, over the budget of {lattice_sets.MAX_COUNT_WORK}\n")
+
+
+def test_count_budget_admits_big_counts_of_small_work(capsys):
+    # At k = 1 (or n = 1) a count of any size is a few bit-steps per bit.
+    assert run_cli(capsys, "count", "--set", "m1", "--n", str(10**400), "--k", "1") == (
+        0, f"{10**400 + 1}\n", "")
+    assert run_cli(capsys, "count", "--set", "m2", "--n", "1", "--k", str(10**400)) == (
+        0, f"{2 * 10**400 + 1}\n", "")
+
+
+def test_cli_set_up_imports_no_code_tools():
+    # dataclasses alone pulled in inspect, ast, dis and tokenize: about 18 ms
+    # of each CLI call's set-up, before any command ran.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import hadcover.cli\n"
+        "hadcover.cli.build_parser()\n"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))\n"
+    )
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
 def test_argparse_errors_exit_2(capsys):

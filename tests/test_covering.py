@@ -308,6 +308,54 @@ def test_report_serialization():
     assert sum(data["shell_levels"].values()) == 20
 
 
+def test_report_is_built_once_and_keeps_its_key_order():
+    report = verify_covering_exact("crosspolytope", 2, 1, samples=5, seed=3)
+    assert list(report.to_dict()) == [
+        "kind", "n", "k", "p", "samples", "seed", "witness_failures",
+        "translate_failures", "translates_checked", "success_rate", "shell_levels", "ok"]
+    assert report == verify_covering_exact("crosspolytope", 2, 1, samples=5, seed=3)
+    with pytest.raises(AttributeError):
+        report.ok = False
+
+
+def test_records_repr_compare_and_refuse_assignment():
+    bound = gamma_upper_bound("simplex", 2, 1.0, 1)
+    assert repr(bound) == ("GammaBound(m=3, rho=Fraction(2, 3), body=BodySpec("
+                           "family='simplex', n=2, p=1.0, scale=Fraction(1, 1)))")
+    assert repr(bodies.lp_ball(3, 2.5, 2)) == "BodySpec(family='lp', n=3, p=2.5, scale=2)"
+    assert bound == gamma_upper_bound("simplex", 2, 1.0, 1)
+    assert hash(bound) == hash(gamma_upper_bound("simplex", 2, 1.0, 1))
+    assert bound != gamma_upper_bound("simplex", 2, 1.0, 2)
+    assert len({bodies.simplex(3), bodies.BodySpec("simplex", 3), bodies.simplex(4)}) == 2
+    witness = decompose_simplex(2, 1, (Fraction(8, 5), Fraction(6, 5)))
+    assert witness == decompose_simplex(2, 1, (Fraction(8, 5), Fraction(6, 5)))
+    assert witness._replace(z=(0, 0)).z == (0, 0) and witness.z == (1, 0)
+    spec = LatticeSetSpec(lattice_sets.M2, 3, 2)
+    for record, name in ((bound, "m"), (witness, "z"), (t_sequence(3, 2.0, 1), "values"),
+                         (spec, "k"), (spec, "extra"), (bodies.simplex(3), "n"),
+                         (bodies.simplex(3), "bound"), (bodies.simplex(3), "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 5)
+
+
+def test_specs_validate_on_replace():
+    with pytest.raises(ValueError, match="^dimension n must be >= 1$"):
+        bodies.simplex(3)._replace(n=0)
+    with pytest.raises(ValueError, match="^k must be >= 0$"):
+        LatticeSetSpec(lattice_sets.M1, 3, 2)._replace(k=-1)
+    assert bodies.simplex(3)._replace(scale=2) == bodies.simplex(3, 2)
+    assert type(LatticeSetSpec("m1", 2, 1)._replace(kind="m2")) is LatticeSetSpec
+
+
+def test_body_bound_is_exact_and_cached():
+    body = bodies.cross_polytope(3, Fraction(1, 2))
+    assert "bound" not in vars(body)
+    assert body.bound == Fraction(3, 2) and type(body.bound) is Fraction
+    assert vars(body)["bound"] is body.bound
+    assert body.rescaled(2).bound == 6
+    assert "bound" not in vars(body.rescaled(Fraction(1, 3)))
+
+
 def test_t_sequence_p1_is_exact():
     ts = t_sequence(3, 1.0, 5)
     assert ts.values == tuple(Fraction(3 + j, 3) for j in range(6))
@@ -373,6 +421,15 @@ def test_t_sequence_validation():
             t_sequence(3, p, 3)
     with pytest.raises(ValueError, match="^p is too large"):
         t_sequence(2, 1e300, 2)
+
+
+def test_t_sequence_refuses_k_past_its_budget_before_any_step(monkeypatch):
+    monkeypatch.setattr(covering, "MAX_SCALE_STEPS", 4)
+    assert len(t_sequence(3, 2.0, 4).values) == len(t_sequence(3, 1.0, 4).values) == 5
+    monkeypatch.setattr(covering, "_next_scale", None)
+    for p in (1.0, 2.0):
+        with pytest.raises(ValueError, match="^k_max = 5 is over the budget of 4 scale steps$"):
+            t_sequence(3, p, 5)
 
 
 def test_verify_covering_lp_passes():

@@ -1,7 +1,9 @@
 import itertools
+import math
 
 import pytest
 
+from hadcover import lattice_sets
 from hadcover.lattice_sets import LatticeSetSpec, count, enumerate_points, member
 import oracles
 
@@ -88,3 +90,19 @@ def test_validation():
         LatticeSetSpec("m1", 2, -1)
     with pytest.raises(ValueError):
         member(LatticeSetSpec("m1", 2, 1), (0, 0, 0))
+
+
+def test_count_budget_charges_at_least_the_counts_own_bits(monkeypatch):
+    # A count of b bits is charged at least b (w min(n, k) + b / 16), w = 8
+    # for the Delannoy walk of m2: a budget of that, rounded down, is refused.
+    for kind, w in (("m1", 1), ("m2", 8)):
+        for n in range(1, 25):
+            for k in range(1, 25):
+                spec = LatticeSetSpec(kind, n, k)
+                bits = math.log2(count(spec))
+                monkeypatch.setattr(lattice_sets, "MAX_COUNT_WORK",
+                                    math.floor(bits * (w * min(n, k) + bits / 16)))
+                with pytest.raises(ValueError, match=r"^the count of .* over the budget of"):
+                    count(spec)
+                monkeypatch.undo()
+    assert count(LatticeSetSpec("m2", 10**6, 0)) == 1
