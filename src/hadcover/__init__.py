@@ -25,11 +25,7 @@ from .bodies import (
     BodySpec,
     contains_exact,
     contains_float,
-    cross_polytope,
-    lp_ball,
-    quarter_lp,
     sample_boundary,
-    simplex,
     vertices,
 )
 from .combinatorics import (
@@ -70,7 +66,6 @@ __all__ = [
     "contains_exact",
     "contains_float",
     "convergence_table",
-    "cross_polytope",
     "decompose_crosspolytope",
     "decompose_simplex",
     "enumerate_points",
@@ -79,15 +74,12 @@ __all__ = [
     "k1_k2_of_n",
     "k_max_crosspolytope",
     "k_of_n_simplex",
-    "lp_ball",
     "m1_count",
     "m2_count_closed",
     "m2_count_recurrence",
     "member",
-    "quarter_lp",
     "rogers_zong_bound",
     "sample_boundary",
-    "simplex",
     "solve_root",
     "t_sequence",
     "verify_covering_exact",

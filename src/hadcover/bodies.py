@@ -102,22 +102,6 @@ class BodySpec(_BodyFields):
         return Fraction(num, den) if self.is_polytopal else (num / den) ** (1.0 / self.p)
 
 
-def simplex(n: int, scale: Scale = Fraction(1)) -> BodySpec:
-    return BodySpec(SIMPLEX, n, 1.0, scale)
-
-
-def cross_polytope(n: int, scale: Scale = Fraction(1)) -> BodySpec:
-    return BodySpec(CROSSPOLYTOPE, n, 1.0, scale)
-
-
-def quarter_lp(n: int, p: float, scale: Scale = Fraction(1)) -> BodySpec:
-    return BodySpec(QUARTER_LP, n, p, scale)
-
-
-def lp_ball(n: int, p: float, scale: Scale = Fraction(1)) -> BodySpec:
-    return BodySpec(LP, n, p, scale)
-
-
 def contains_exact(body: BodySpec, point: Sequence) -> bool:
     """Exact membership test for polytopal bodies (boundary counts as inside).
 

@@ -21,7 +21,7 @@ from . import asymptotics, covering, lattice_sets
 from .bodies import FAMILIES, LP, QUARTER_LP
 
 FORMATS = ("plain", "json", "csv")
-# Lines per write of a listing: one write per block, memory bounded by one block.
+# Lines per write of a listing (fewer past 16 * _BLOCK bytes): memory bounded by one block.
 _BLOCK = 4096
 # verify-cover's --p when omitted; simplex and crosspolytope are p = 1 bodies.
 _DEFAULT_P = {QUARTER_LP: 2.0, LP: 2.0}
@@ -55,11 +55,16 @@ def _render(fmt: str, record: dict, rows=None, lines=None, array=None) -> None:
 
 
 def _write_blocks(lines, sep="\n", end="\n", start="", restart="") -> None:
-    """Write the lines in blocks of _BLOCK, one write each of start + the block
-    joined by sep + end, where start becomes restart after the first block."""
+    """Write the lines in blocks, one write each of start + the block joined
+    by sep + end, where start becomes restart after the first block.
+
+    A block is _BLOCK lines, fewer when its first line is wide: at most
+    16 * _BLOCK bytes of lines as wide as that one, and one line at least.
+    """
     lines = map(str, lines)
-    while block := list(itertools.islice(lines, _BLOCK)):
-        sys.stdout.write(start + sep.join(block) + end)
+    for first in lines:
+        more = max(1, min(_BLOCK, 16 * _BLOCK // (len(first) + 1))) - 1
+        sys.stdout.write(start + sep.join([first, *itertools.islice(lines, more)]) + end)
         start = restart
 
 
@@ -73,23 +78,17 @@ def _listing(spec: lattice_sets.LatticeSetSpec):
     head instead of a template per point.  The tail texts grow a level at
     a time.  Level 1 is one text, the values v of M(1, k), of which the
     lines of M(1, j) are a run; level t + 1 puts each "v," of M(1, j)
-    before level t at j - |v|.  A level is built while it takes away
-    more heads than it costs blocks, up to t = n - 1 (n = 1 has level 1
-    only), and until the levels built add up to more than 16 * _BLOCK
-    bytes: the cache is about one block of text at any n and k.  At t = 0
-    the tail is the empty line and each head is one point, formatted by
-    one template.
+    before level t at j - |v|.  Levels are built up to t = n - 1 (n = 1
+    has level 1 only) while the texts built add up to at most
+    16 * _BLOCK bytes: the cache is about one block of text at any n and
+    k.  With no level (t = 0) each point is one head, formatted by one
+    template.
     """
     n, k, signed = spec.n, spec.k, spec.kind == lattice_sets.M2
     cap = 16 * _BLOCK
     zero = k if signed else 0  # the index of 0 in values
     values = range(-zero, k + 1)
-    # The tail text of M(t, j) is text[firsts[j]:lasts[j]].  At t = 0 it is
-    # the empty line for every j: k + 1 zero bytes, as k may be huge there.
-    t, text, firsts, lasts = 0, "", bytes(k + 1), bytes(k + 1)
-
-    def size(h):
-        return lattice_sets.count(lattice_sets.LatticeSetSpec(spec.kind, h, k))
+    t = 0
 
     def block(prefix, j):
         return prefix + text[firsts[j]:lasts[j]].replace("\n", "\n" + prefix)
@@ -100,13 +99,12 @@ def _listing(spec: lattice_sets.LatticeSetSpec):
         starts = [0, *itertools.accumulate(map((1).__add__, map(len, words)))]
         built = starts[-1] - 1
         if built <= cap:
+            # The tail text of M(t, j) is text[firsts[j]:lasts[j]].
             t, text = 1, "\n".join(words)
-            firsts = starts[zero::-1] if signed else firsts
+            firsts = starts[zero::-1] if signed else [0] * (k + 1)
             lasts = list(map((-1).__add__, starts[zero + 1:]))
-    # Level t + 1 costs a block per pair (j, v) and takes away the heads
-    # that it moves into the tail, one or two at k = 1 and none at k = 0.
-    blocks_per_level = (k + 1) ** 2 if signed else (k + 1) * (k + 2) // 2
-    while 0 < t < n - 1 and k > 1 and size(n - t) - size(n - t - 1) > blocks_per_level:
+    # At k <= 1 a level moves at most two heads into the tail.
+    while 0 < t < n - 1 and k > 1:
         texts = []
         for j in range(k + 1):
             run = slice(zero - j if signed else 0, zero + j + 1)
@@ -124,6 +122,8 @@ def _listing(spec: lattice_sets.LatticeSetSpec):
     template = ",".join(["%d"] * h) + ("," if h and t else "")
     heads = [()] if h == 0 else lattice_sets.enumerate_points(
         lattice_sets.LatticeSetSpec(spec.kind, h, k))
+    if t == 0:
+        return map(template.__mod__, heads)
     blocks = (block(template % a, k - sum(map(abs, a))) for a in heads)
     return itertools.chain.from_iterable(map(str.split, blocks, itertools.repeat("\n")))
 

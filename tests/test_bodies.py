@@ -6,15 +6,15 @@ from fractions import Fraction
 import pytest
 
 from hadcover.bodies import (
+    CROSSPOLYTOPE,
+    LP,
+    QUARTER_LP,
+    SIMPLEX,
     TOL,
     BodySpec,
     contains_exact,
     contains_float,
-    cross_polytope,
-    lp_ball,
-    quarter_lp,
     sample_boundary,
-    simplex,
     vertices,
 )
 from hadcover import bodies
@@ -22,7 +22,7 @@ import oracles
 
 
 def test_simplex_membership_examples():
-    body = simplex(2)
+    body = BodySpec(SIMPLEX, 2)
     assert contains_exact(body, (Fraction(1), Fraction(1)))
     assert contains_exact(body, (Fraction(0), Fraction(2)))
     assert not contains_exact(body, (Fraction(3, 2), Fraction(3, 4)))
@@ -30,20 +30,20 @@ def test_simplex_membership_examples():
 
 
 def test_crosspolytope_membership_example():
-    body = cross_polytope(3, Fraction(4, 3))
+    body = BodySpec(CROSSPOLYTOPE, 3, scale=Fraction(4, 3))
     assert contains_exact(body, (Fraction(-2), Fraction(1), Fraction(1)))
     assert not contains_exact(body, (Fraction(-2), Fraction(1), Fraction(3, 2)))
 
 
 def test_quarter_lp_membership_examples():
-    body = quarter_lp(2, 2.0)
+    body = BodySpec(QUARTER_LP, 2, 2.0)
     assert contains_float(body, (1.0, 1.0))
     assert not contains_float(body, (1.0, 1.1))
     assert not contains_float(body, (-0.5, 0.5))
-    scaled = quarter_lp(2, 2.0, math.sqrt(1.5))
+    scaled = BodySpec(QUARTER_LP, 2, 2.0, math.sqrt(1.5))
     assert contains_float(scaled, (1.2, 1.0))
     # 2.0 ** 2000 is past the float range, and so past the finite bound.
-    steep = quarter_lp(2, 2000.0)
+    steep = BodySpec(QUARTER_LP, 2, 2000.0)
     assert contains_float(steep, (1.0, 0.0))
     assert contains_float(steep, (1.0, 1.0))
     assert not contains_float(steep, (2.0, 0.0))
@@ -51,10 +51,10 @@ def test_quarter_lp_membership_examples():
 
 
 def test_lp_membership_example():
-    body = lp_ball(3, 2.0)
+    body = BodySpec(LP, 3, 2.0)
     assert contains_float(body, (-1.0, 1.0, 1.0))
     assert not contains_float(body, (2.0, 0.0, 0.0))
-    steep = lp_ball(2, 2000.0)
+    steep = BodySpec(LP, 2, 2000.0)
     assert contains_float(steep, (1.0, 0.0))
     assert contains_float(steep, (-1.0, 1.0))
     assert not contains_float(steep, (2.0, 0.0))
@@ -62,7 +62,7 @@ def test_lp_membership_example():
 
 
 def test_contains_float_boundary_tolerance():
-    body = lp_ball(2, 2.0)
+    body = BodySpec(LP, 2, 2.0)
     r = math.sqrt(2.0)
     assert contains_float(body, (r, 0.0))
     assert not contains_float(body, (r + 1e-6, 0.0))
@@ -71,12 +71,12 @@ def test_contains_float_boundary_tolerance():
     # quarter ball's sign check.
     assert contains_float(body, (math.sqrt(2.0 * (1 + TOL / 2)), 0.0))
     assert not contains_float(body, (math.sqrt(2.0 * (1 + 2 * TOL)), 0.0))
-    assert contains_float(quarter_lp(2, 2.0), (-TOL / 2, 1.0))
-    assert not contains_float(quarter_lp(2, 2.0), (-2 * TOL, 1.0))
+    assert contains_float(BodySpec(QUARTER_LP, 2, 2.0), (-TOL / 2, 1.0))
+    assert not contains_float(BodySpec(QUARTER_LP, 2, 2.0), (-2 * TOL, 1.0))
 
 
 def test_contains_float_rejects_nonfinite():
-    body = lp_ball(2, 2.0)
+    body = BodySpec(LP, 2, 2.0)
     with pytest.raises(ValueError):
         contains_float(body, (math.nan, 0.0))
     with pytest.raises(ValueError):
@@ -85,45 +85,45 @@ def test_contains_float_rejects_nonfinite():
 
 def test_contains_float_rejects_polytopal_bodies():
     with pytest.raises(ValueError, match="float membership is for the l_p families"):
-        contains_float(simplex(2), (0.5, 0.5))
+        contains_float(BodySpec(SIMPLEX, 2), (0.5, 0.5))
 
 
 def test_contains_exact_rejects_inexact_coordinates():
     for point in ((0.5, 0.5), ("1/2", 0)):
         with pytest.raises(ValueError, match="int or Fraction"):
-            contains_exact(simplex(2), point)
+            contains_exact(BodySpec(SIMPLEX, 2), point)
         with pytest.raises(ValueError, match="int or Fraction"):
-            contains_exact(cross_polytope(2), point)
+            contains_exact(BodySpec(CROSSPOLYTOPE, 2), point)
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        contains_exact(simplex(2), (Fraction(1),))
+        contains_exact(BodySpec(SIMPLEX, 2), (Fraction(1),))
     with pytest.raises(ValueError):
-        contains_float(lp_ball(2, 2.0), (1.0, 0.0, 0.0))
+        contains_float(BodySpec(LP, 2, 2.0), (1.0, 0.0, 0.0))
 
 
 def test_vertices_simplex():
-    assert vertices(simplex(2)) == [
+    assert vertices(BodySpec(SIMPLEX, 2)) == [
         (Fraction(0), Fraction(0)),
         (Fraction(2), Fraction(0)),
         (Fraction(0), Fraction(2)),
     ]
-    scaled = vertices(simplex(3, Fraction(4, 3)))
+    scaled = vertices(BodySpec(SIMPLEX, 3, scale=Fraction(4, 3)))
     assert (Fraction(4), Fraction(0), Fraction(0)) in scaled
     assert scaled[0] == (Fraction(0),) * 3
-    for body in (simplex(2), simplex(3, Fraction(4, 3))):
+    for body in (BodySpec(SIMPLEX, 2), BodySpec(SIMPLEX, 3, scale=Fraction(4, 3))):
         assert all(type(c) is int for v in vertices(body) for c in v)
-    thin = vertices(simplex(2, Fraction(1, 3)))[1]
+    thin = vertices(BodySpec(SIMPLEX, 2, scale=Fraction(1, 3)))[1]
     assert thin == (Fraction(2, 3), 0) and type(thin[0]) is Fraction
-    assert vertices(simplex(2, Fraction(1, 3))) == [
+    assert vertices(BodySpec(SIMPLEX, 2, scale=Fraction(1, 3))) == [
         (0, 0), (Fraction(2, 3), 0), (0, Fraction(2, 3))
     ]
-    assert vertices(quarter_lp(3, 1.0)) == vertices(simplex(3))
+    assert vertices(BodySpec(QUARTER_LP, 3, 1.0)) == vertices(BodySpec(SIMPLEX, 3))
 
 
 def test_vertices_crosspolytope():
-    got = set(vertices(cross_polytope(2)))
+    got = set(vertices(BodySpec(CROSSPOLYTOPE, 2)))
     assert got == {
         (Fraction(2), Fraction(0)),
         (Fraction(-2), Fraction(0)),
@@ -131,25 +131,25 @@ def test_vertices_crosspolytope():
         (Fraction(0), Fraction(-2)),
     }
     assert all(type(c) is int for v in got for c in v)
-    assert vertices(cross_polytope(3)) == [
+    assert vertices(BodySpec(CROSSPOLYTOPE, 3)) == [
         (3, 0, 0), (-3, 0, 0), (0, 3, 0), (0, -3, 0), (0, 0, 3), (0, 0, -3)
     ]
-    assert all(type(c) is int for v in vertices(cross_polytope(3)) for c in v)
-    assert vertices(lp_ball(3, 1.0)) == vertices(cross_polytope(3))
+    assert all(type(c) is int for v in vertices(BodySpec(CROSSPOLYTOPE, 3)) for c in v)
+    assert vertices(BodySpec(LP, 3, 1.0)) == vertices(BodySpec(CROSSPOLYTOPE, 3))
 
 
 def test_vertices_only_for_polytopes():
-    for body in (quarter_lp(2, 2.0), lp_ball(3, 1.5)):
+    for body in (BodySpec(QUARTER_LP, 2, 2.0), BodySpec(LP, 3, 1.5)):
         with pytest.raises(ValueError):
             vertices(body)
 
 
 def test_vertices_lie_on_defining_boundary():
     for n in (1, 2, 3, 5):
-        body = simplex(n, Fraction(7, 5))
+        body = BodySpec(SIMPLEX, n, scale=Fraction(7, 5))
         for v in vertices(body)[1:]:
             assert sum(v) == body.scale * n
-        sym = cross_polytope(n, Fraction(7, 5))
+        sym = BodySpec(CROSSPOLYTOPE, n, scale=Fraction(7, 5))
         for v in vertices(sym):
             assert sum(abs(c) for c in v) == sym.scale * n
 
@@ -158,8 +158,8 @@ def test_membership_scaling_consistency():
     rng = random.Random(5)
     scale = Fraction(5, 3)
     for n in (1, 2, 4):
-        base = simplex(n)
-        scaled = simplex(n, scale)
+        base = BodySpec(SIMPLEX, n)
+        scaled = BodySpec(SIMPLEX, n, scale=scale)
         for point in oracles.rational_points(rng, n, 4, 40):
             shrunk = tuple(c / scale for c in point)
             assert contains_exact(scaled, point) == contains_exact(base, shrunk)
@@ -190,14 +190,12 @@ def _nudged(point, step):
 
 def test_contains_exact_matches_the_fraction_sum():
     rng = random.Random(14)
-    makers = (simplex, cross_polytope,
-              lambda n, s: quarter_lp(n, 1.0, s), lambda n, s: lp_ball(n, 1.0, s))
     verdicts = {True: 0, False: 0}
     seen = set()  # (type, denominator) of every boundary coordinate
-    for make in makers:
+    for family in (SIMPLEX, CROSSPOLYTOPE, QUARTER_LP, LP):
         for n in (1, 2, 3, 5):
             for scale in (1, 3, Fraction(5, 3), Fraction(7, 12)):
-                body = make(n, scale)
+                body = BodySpec(family, n, 1.0, scale)
                 for _ in range(15):
                     point = _boundary_point(rng, body)
                     seen.update((type(c), c.denominator) for c in point)
@@ -219,7 +217,7 @@ def test_contains_exact_matches_the_fraction_sum():
 
 
 def test_rescaled_body():
-    body = simplex(3).rescaled(Fraction(5, 3))
+    body = BodySpec(SIMPLEX, 3).rescaled(Fraction(5, 3))
     assert body.scale == Fraction(5, 3)
     assert body.family == "simplex"
     assert contains_exact(body, (Fraction(5), Fraction(0), Fraction(0)))
@@ -227,8 +225,8 @@ def test_rescaled_body():
 
 def test_float_and_exact_agree_away_from_boundary():
     rng = random.Random(11)
-    body_exact = cross_polytope(3)
-    body_float = lp_ball(3, 1.0)
+    body_exact = BodySpec(CROSSPOLYTOPE, 3)
+    body_float = BodySpec(LP, 3, 1.0)
     for point in oracles.rational_points(rng, 3, 4, 60):
         total = sum(abs(c) for c in point)
         if abs(total - 3) < Fraction(1, 100):
@@ -238,7 +236,7 @@ def test_float_and_exact_agree_away_from_boundary():
 
 
 def test_sampling_is_deterministic():
-    body = cross_polytope(3, Fraction(3, 2))
+    body = BodySpec(CROSSPOLYTOPE, 3, scale=Fraction(3, 2))
     assert sample_boundary(body, 20, 42) == sample_boundary(body, 20, 42)
     assert sample_boundary(body, 20, 42) != sample_boundary(body, 20, 43)
     assert sample_boundary(body, 2, 42) == [
@@ -247,12 +245,12 @@ def test_sampling_is_deterministic():
         (Fraction(5361, 1375), Fraction(23231, 79200), Fraction(-109007, 396000)),
     ]
     # The nonnegative family draws no signs; the float sampler draws its own.
-    assert sample_boundary(simplex(3, Fraction(3, 2)), 2, 42) == [
+    assert sample_boundary(BodySpec(SIMPLEX, 3, scale=Fraction(3, 2)), 2, 42) == [
         (Fraction(7977873, 6087500), Fraction(3551623, 3043750),
          Fraction(12949437, 12175000)),
         (Fraction(1638679, 1001650), Fraction(652904, 2504125), Fraction(4435529, 2504125)),
     ]
-    assert sample_boundary(lp_ball(3, 2.5, 1.2), 2, 42) == [
+    assert sample_boundary(BodySpec(LP, 3, 2.5, 1.2), 2, 42) == [
         (-0.6026363365657593, -0.48909295313604306, 1.6137345542713255),
         (0.7015101711930984, -1.6214560850610507, -0.08514190022306795),
     ]
@@ -283,11 +281,12 @@ def test_sample_stream_is_pinned():
                   for scale in (2, Fraction(27, 20), Fraction(9, 10))]
         assert _sample_digest(bodies) == expected, family
     # At p = 1100 the power sums underflow and the factor steps down.
-    assert _sample_digest([lp_ball(2, 1100.0)]) == STEEP_SAMPLE_DIGEST
+    assert _sample_digest([BodySpec(LP, 2, 1100.0)]) == STEEP_SAMPLE_DIGEST
 
 
 def test_samples_stay_inside_exact_bodies():
-    for body in (simplex(3, Fraction(3, 2)), cross_polytope(2, Fraction(5, 2))):
+    for body in (BodySpec(SIMPLEX, 3, scale=Fraction(3, 2)),
+                 BodySpec(CROSSPOLYTOPE, 2, scale=Fraction(5, 2))):
         for point in sample_boundary(body, 200, 9):
             assert contains_exact(body, point)
             assert all(isinstance(c, Fraction) for c in point)
@@ -298,30 +297,30 @@ def test_samples_stay_inside_float_bodies():
     # At p = 1000 and scale 1.1 draws often land a few ulps past the bound
     # and the sampler steps its factor down; the power sum it stops at is
     # held to the bound with no tolerance.
-    for body in (quarter_lp(3, 2.0, 1.2), lp_ball(2, 1.5, 1.1),
-                 lp_ball(2, 1100.0), quarter_lp(2, 5000.0),
-                 lp_ball(2, 1000.0, 1.1)):
+    for body in (BodySpec(QUARTER_LP, 3, 2.0, 1.2), BodySpec(LP, 2, 1.5, 1.1),
+                 BodySpec(LP, 2, 1100.0), BodySpec(QUARTER_LP, 2, 5000.0),
+                 BodySpec(LP, 2, 1000.0, 1.1)):
         for point in sample_boundary(body, 200, 9):
             assert contains_float(body, point)
             assert sum(abs(c) ** body.p for c in point) <= body.bound
 
 
 def test_single_sample_lands_in_outer_shell():
-    body = simplex(2, Fraction(3, 2))
+    body = BodySpec(SIMPLEX, 2, scale=Fraction(3, 2))
     (point,) = sample_boundary(body, 1, 7)
     total = sum(point)
     assert 2 < total <= 3
 
 
 def test_shell_bias_share():
-    body = simplex(2, Fraction(3, 2))
+    body = BodySpec(SIMPLEX, 2, scale=Fraction(3, 2))
     points = sample_boundary(body, 400, 3)
     in_shell = sum(1 for p in points if sum(p) > 2)
     assert in_shell >= 280
 
 
 def test_one_dimensional_samples():
-    body = cross_polytope(1, Fraction(2))
+    body = BodySpec(CROSSPOLYTOPE, 1, scale=Fraction(2))
     for (coord,) in sample_boundary(body, 3, 1):
         assert abs(coord) <= 2
 
@@ -337,20 +336,20 @@ def test_body_spec_validation():
     with pytest.raises(ValueError):
         BodySpec("nope", 2)
     with pytest.raises(ValueError):
-        simplex(2, Fraction(-1))
+        BodySpec(SIMPLEX, 2, scale=Fraction(-1))
     # Curved bodies whose scale**p * n leaves the float range.
     with pytest.raises(ValueError, match="finite"):
-        quarter_lp(2, 5000.0, 1.2)
+        BodySpec(QUARTER_LP, 2, 5000.0, 1.2)
     for scale in (1e200, math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
-            lp_ball(2, 2.0, scale)
+            BodySpec(LP, 2, 2.0, scale)
     # Polytopal bodies stay exact at any magnitude.
-    assert simplex(2, 10**400).bound == 2 * 10**400
+    assert BodySpec(SIMPLEX, 2, scale=10**400).bound == 2 * 10**400
 
 
 def test_bound_is_scale_power_times_n():
-    assert simplex(3, Fraction(5, 2)).bound == Fraction(15, 2)
-    assert lp_ball(4, 1.0, Fraction(1, 3)).bound == Fraction(4, 3)
-    assert quarter_lp(3, 2.5, 1.3).bound == 1.3 ** 2.5 * 3
-    body = lp_ball(2, 3.0, 2.0)
+    assert BodySpec(SIMPLEX, 3, scale=Fraction(5, 2)).bound == Fraction(15, 2)
+    assert BodySpec(LP, 4, 1.0, Fraction(1, 3)).bound == Fraction(4, 3)
+    assert BodySpec(QUARTER_LP, 3, 2.5, 1.3).bound == 1.3 ** 2.5 * 3
+    body = BodySpec(LP, 2, 3.0, 2.0)
     assert body.bound is body.bound == 16.0

@@ -467,9 +467,12 @@ def test_listing_memory_does_not_grow_with_k():
 # Small shapes, one point (k = 0), a wide set, and long single-coordinate
 # tails: with the tail cache capped at 16 * _BLOCK bytes, the patched
 # blocks give tails of no coordinate, of some, and of all but the first
-# (or all, at n = 1).
+# (or all, at n = 1).  m2(1, 7000) and m1(1, 13000) have values past the
+# cap at the default block, so no tail; m2(300, 1) has 600-byte lines,
+# fewer than _BLOCK to a write.
 _LISTING_GRID = ([(kind, n, k) for kind in ("m1", "m2") for n in range(1, 5) for k in range(5)]
-                 + [("m2", 9, 0), ("m1", 6, 5), ("m2", 30, 2), ("m1", 2, 300), ("m2", 1, 5000)])
+                 + [("m2", 9, 0), ("m1", 6, 5), ("m2", 30, 2), ("m1", 2, 300), ("m2", 1, 5000),
+                    ("m2", 1, 7000), ("m1", 1, 13000), ("m2", 300, 1)])
 
 
 def test_listing_bytes_match_the_per_point_rendering(capsys, monkeypatch):
@@ -482,7 +485,12 @@ def test_listing_bytes_match_the_per_point_rendering(capsys, monkeypatch):
         heads.append(spec.n)
         return enumerate_points(spec)
 
+    def no_count(spec):
+        raise AssertionError("counted a translation set")
+
     monkeypatch.setattr(lattice_sets, "enumerate_points", spy)
+    # The tails come from the byte cap alone, with no count lookups.
+    monkeypatch.setattr(lattice_sets, "count", no_count)
     tails = set()
     for block in (1, 64, 4096):
         monkeypatch.setattr(cli, "_BLOCK", block)
@@ -495,6 +503,27 @@ def test_listing_bytes_match_the_per_point_rendering(capsys, monkeypatch):
             tails.add("none" if t == 0 else "middle" if t < n - 1 else "all but the head"
                       if t == n - 1 else "all")
     assert tails == {"none", "middle", "all but the head", "all"}
+
+
+def test_wide_listing_writes_at_most_a_block_of_bytes(monkeypatch):
+    # m2(300, 1): 601 lines of up to 600 bytes, 109 lines to a write, not 4096.
+    # A write may pass 16 * _BLOCK by one line: a JSON item with "],[" is 603 bytes.
+    writes = []
+
+    class Stdout:
+        def write(self, text):
+            writes.append(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    for fmt in ("plain", "json"):
+        writes.clear()
+        assert main(["enumerate", "--set", "m2", "--n", "300", "--k", "1", "--format", fmt]) == 0
+        assert "".join(writes) == oracles.reference_listing("m2", 300, 1, fmt)
+        assert len(writes) > 5
+        assert max(map(len, writes)) <= 16 * cli._BLOCK + 603
 
 
 def test_closed_pipe_exits_141_quietly():

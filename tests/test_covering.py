@@ -322,33 +322,34 @@ def test_records_repr_compare_and_refuse_assignment():
     bound = gamma_upper_bound("simplex", 2, 1.0, 1)
     assert repr(bound) == ("GammaBound(m=3, rho=Fraction(2, 3), body=BodySpec("
                            "family='simplex', n=2, p=1.0, scale=Fraction(1, 1)))")
-    assert repr(bodies.lp_ball(3, 2.5, 2)) == "BodySpec(family='lp', n=3, p=2.5, scale=2)"
+    assert repr(bodies.BodySpec("lp", 3, 2.5, 2)) == "BodySpec(family='lp', n=3, p=2.5, scale=2)"
     assert bound == gamma_upper_bound("simplex", 2, 1.0, 1)
     assert hash(bound) == hash(gamma_upper_bound("simplex", 2, 1.0, 1))
     assert bound != gamma_upper_bound("simplex", 2, 1.0, 2)
-    assert len({bodies.simplex(3), bodies.BodySpec("simplex", 3), bodies.simplex(4)}) == 2
+    simplex3 = bodies.BodySpec("simplex", 3)
+    assert len({simplex3, bodies.BodySpec("simplex", 3, 1.0), bodies.BodySpec("simplex", 4)}) == 2
     witness = decompose_simplex(2, 1, (Fraction(8, 5), Fraction(6, 5)))
     assert witness == decompose_simplex(2, 1, (Fraction(8, 5), Fraction(6, 5)))
     assert witness._replace(z=(0, 0)).z == (0, 0) and witness.z == (1, 0)
     spec = LatticeSetSpec(lattice_sets.M2, 3, 2)
     for record, name in ((bound, "m"), (witness, "z"), (t_sequence(3, 2.0, 1), "values"),
-                         (spec, "k"), (spec, "extra"), (bodies.simplex(3), "n"),
-                         (bodies.simplex(3), "bound"), (bodies.simplex(3), "extra")):
+                         (spec, "k"), (spec, "extra"), (simplex3, "n"), (simplex3, "bound"),
+                         (simplex3, "extra")):
         with pytest.raises(AttributeError):
             setattr(record, name, 5)
 
 
 def test_specs_validate_on_replace():
     with pytest.raises(ValueError, match="^dimension n must be >= 1$"):
-        bodies.simplex(3)._replace(n=0)
+        bodies.BodySpec("simplex", 3)._replace(n=0)
     with pytest.raises(ValueError, match="^k must be >= 0$"):
         LatticeSetSpec(lattice_sets.M1, 3, 2)._replace(k=-1)
-    assert bodies.simplex(3)._replace(scale=2) == bodies.simplex(3, 2)
+    assert bodies.BodySpec("simplex", 3)._replace(scale=2) == bodies.BodySpec("simplex", 3, 1.0, 2)
     assert type(LatticeSetSpec("m1", 2, 1)._replace(kind="m2")) is LatticeSetSpec
 
 
 def test_body_bound_is_exact_and_cached():
-    body = bodies.cross_polytope(3, Fraction(1, 2))
+    body = bodies.BodySpec("crosspolytope", 3, scale=Fraction(1, 2))
     assert "bound" not in vars(body)
     assert body.bound == Fraction(3, 2) and type(body.bound) is Fraction
     assert vars(body)["bound"] is body.bound
@@ -502,7 +503,7 @@ def test_verify_covering_lp_refuses_an_unresolved_scale():
     # Only verification is refused: bounds and sampling keep their range.
     assert gamma_upper_bound("lp", 3, 1e16, 3).m == lattice_sets.count(
         LatticeSetSpec(lattice_sets.M2, 3, 3))
-    assert len(bodies.sample_boundary(bodies.lp_ball(3, 1e16), 5, 1)) == 5
+    assert len(bodies.sample_boundary(bodies.BodySpec("lp", 3, 1e16), 5, 1)) == 5
 
 
 def test_gamma_upper_bound_simplex():
