@@ -189,7 +189,7 @@ _SAMPLE_DENOMINATOR = 10**4
 _SHELL_BIAS = 0.8
 
 
-def sample_boundary(body: BodySpec, count: int, seed: int) -> list[tuple]:
+def sample_boundary(body: BodySpec, count: int, seed: int | random.Random) -> list[tuple]:
     """Deterministic in-body samples, biased toward the outer shell.
 
     80% of the samples land in the outermost slab of the defining sum
@@ -197,10 +197,13 @@ def sample_boundary(body: BodySpec, count: int, seed: int) -> list[tuple]:
     nontrivial); the rest spread uniformly in depth.  Polytopal bodies
     yield exact rational points, each target sum drawn as an integer
     numerator over a fixed denominator; curved ones yield float points.
+    An int seed starts a fresh stream; a ``random.Random`` is drawn from
+    and advanced, so consecutive calls on one generator return the
+    samples one call of their total count would.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = random.Random(seed)
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     if body.is_polytopal:
         return list(_sample_exact(body, rng, count))
     return [_sample_float(body, rng) for _ in range(count)]

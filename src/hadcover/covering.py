@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
@@ -24,11 +25,13 @@ from .bodies import BodySpec, CROSSPOLYTOPE, LP, SIMPLEX
 from .lattice_sets import LatticeSetSpec
 
 # Most checks one verification may start: samples·n sampled coordinates,
-# each counted as SAMPLE_WEIGHT checks for an exact body and k + 1 for a
-# curved one, plus (k + 1)·(min(n, k) + 10) for the level count of the
-# sweep.  Its slowest admitted sweep, n = 1 at k = 9,090,901 with one
-# sample, takes about 5 s on one core; n = k = 9,959 takes 0.25 s; and
-# samples·n = 1,428,571 exact coordinates take about 6 s.
+# each counted as SAMPLE_WEIGHT checks for an exact body and CURVED_WEIGHT
+# + k + 1 for a curved one, plus (k + 1)·(min(n, k) + 10) for the level
+# count of the sweep.  Its slowest admitted sweep, n = 1 at k = 9,090,901
+# with one sample, takes about 5 s on one core; n = k = 9,959 takes
+# 0.25 s; samples·n = 1,428,571 exact coordinates take about 6 s; and
+# 5,000,000 curved coordinates at k = 0 would take about 6 s at the rate
+# below.
 MAX_CHECKS = 10**8
 # Sweep checks per exact sampled coordinate, measured on Python 3.11 (one
 # core of a 2-CPU host): a coordinate costs about 4.2 us (verify-cover
@@ -38,6 +41,16 @@ MAX_CHECKS = 10**8
 # start-up of a k = 1 run).  So --samples 999 at n = 100000, minutes
 # of sampling, is refused.
 SAMPLE_WEIGHT = 70
+# Sweep checks to draw and re-check a curved sampled coordinate, on the
+# scale of SAMPLE_WEIGHT; its peel adds k + 1.  A coordinate costs about
+# 1.2-1.3 us (verify-cover --body lp --k 0 --p 2 at n = 10^5, 3 * 10^5
+# and 10^6, --samples 4 less --samples 1), 19-21 checks at 0.062 us,
+# so at k = 0 it is charged 20 and --n 99000000 --samples 1, minutes of
+# drawing one sample, is refused.
+CURVED_WEIGHT = 19
+# Most sampled coordinates a verification holds at once: it draws its
+# samples in blocks of max(1, _SAMPLE_BLOCK // n) from one random stream.
+_SAMPLE_BLOCK = 4096
 # Most scale steps one t_sequence may take.  A p > 1 step is a float bisection
 # of 20-35 us, slower as t grows: 3.1-3.3 s at k = 10^5 for (n, p) = (3, 2),
 # (2, 1.01) and (1000, 3) (Python 3.11, one core of a 2-CPU host); p = 1, 2 us.
@@ -192,9 +205,11 @@ def _verify(base: BodySpec, k: int, samples: int, seed: int) -> CoveringReport:
     of enumerating them.  Module functions are looked up at call time,
     so wrappers see them.  Before any of this, a run of more than
     MAX_CHECKS checks is refused: samples times n sampled coordinates,
-    times SAMPLE_WEIGHT for a polytopal body or the k + 1 peel steps of
-    a curved one, plus for a polytopal body the k + 1 levels of the
-    sweep at min(n, k) + 10 each.
+    times SAMPLE_WEIGHT for a polytopal body or CURVED_WEIGHT plus the
+    k + 1 peel steps for a curved one, plus for a polytopal body the
+    k + 1 levels of the sweep at min(n, k) + 10 each.  The samples are
+    drawn from one random.Random(seed) in blocks of at most _SAMPLE_BLOCK
+    coordinates, or one sample, so memory holds one block at a time.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -202,14 +217,16 @@ def _verify(base: BodySpec, k: int, samples: int, seed: int) -> CoveringReport:
     n, polytopal = base.n, base.is_polytopal
     # A sweep level is a few Python steps and one big-integer step whose
     # size grows with min(n, k).  An exact sampled coordinate is drawn,
-    # decomposed and re-checked in Fractions.  A curved sample is peeled
-    # by up to k moves and k + 1 membership tests, each O(n).
+    # decomposed and re-checked in Fractions.  A curved sample is drawn and
+    # re-checked in floats, and peeled by up to k moves and k + 1
+    # membership tests, each O(n).
     levels, width = (k + 1, min(n, k) + 10) if polytopal else (0, 0)
-    steps = SAMPLE_WEIGHT if polytopal else k + 1
+    steps = SAMPLE_WEIGHT if polytopal else CURVED_WEIGHT + k + 1
     checks = levels * width + samples * n * steps
     if checks > MAX_CHECKS:
         sweep = f"{levels} levels x min(n, k) + 10 = {width} + " if polytopal else ""
-        weight = f"{steps} per exact coordinate" if polytopal else f"k + 1 = {steps}"
+        weight = (f"{steps} per exact coordinate" if polytopal
+                  else f"{CURVED_WEIGHT} + k + 1 = {steps} per curved coordinate")
         raise ValueError(f"verification needs {checks} checks ({sweep}{samples} samples "
                          f"x n = {n} x {weight}), over the budget of {MAX_CHECKS}")
     scaled = _inflated(base, k)
@@ -221,12 +238,16 @@ def _verify(base: BodySpec, k: int, samples: int, seed: int) -> CoveringReport:
         inside = bodies.contains_float
 
     witness_failures, shells = 0, Counter()
-    for y in bodies.sample_boundary(scaled, samples, seed):
-        witness = decompose(n, k, y)
-        residual = [c - w if w else c for c, w in zip(y, witness.z)]
-        if not (lattice_sets.member(spec, witness.z) and inside(base, residual)):
-            witness_failures += 1
-        shells[witness.shell_level] += 1
+    rng, block = random.Random(seed), max(1, _SAMPLE_BLOCK // n)
+    for start in range(0, samples, block):
+        for y in bodies.sample_boundary(scaled, min(block, samples - start), rng):
+            witness = decompose(n, k, y)
+            residual = [c - w if w else c for c, w in zip(y, witness.z)]
+            if not (lattice_sets.member(spec, witness.z) and inside(base, residual)):
+                witness_failures += 1
+            shells[witness.shell_level] += 1
+        # The block's last sample would otherwise live on while the next is drawn.
+        del y, witness, residual
 
     translates, translate_failures = _sweep(base, scaled, k) if polytopal else (0, 0)
     ok = witness_failures == 0 and translate_failures == 0

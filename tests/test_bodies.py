@@ -284,6 +284,23 @@ def test_sample_stream_is_pinned():
     assert _sample_digest([BodySpec(LP, 2, 1100.0)]) == STEEP_SAMPLE_DIGEST
 
 
+def test_a_continued_stream_does_not_depend_on_the_split():
+    # An int seed starts the stream of random.Random(seed); consecutive
+    # calls on one generator continue it, so any split of a count draws
+    # the samples of one call.
+    count = 9
+    for body in (BodySpec(SIMPLEX, 3, scale=Fraction(3, 2)),
+                 BodySpec(CROSSPOLYTOPE, 4, scale=Fraction(9, 10)),
+                 BodySpec(QUARTER_LP, 3, 2.5, 1.2), BodySpec(LP, 5, 1.5, 2)):
+        whole = sample_boundary(body, count, 7)
+        assert sample_boundary(body, count, random.Random(7)) == whole
+        for a in (1, 4, count - 1):
+            rng = random.Random(7)
+            assert sample_boundary(body, a, rng) + sample_boundary(body, count - a, rng) == whole
+        rng = random.Random(7)
+        assert [sample_boundary(body, 1, rng)[0] for _ in range(count)] == whole
+
+
 def test_samples_stay_inside_exact_bodies():
     for body in (BodySpec(SIMPLEX, 3, scale=Fraction(3, 2)),
                  BodySpec(CROSSPOLYTOPE, 2, scale=Fraction(5, 2))):

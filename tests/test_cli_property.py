@@ -128,7 +128,7 @@ def test_verify_cover_past_the_scale_bound_exits_2(argv):
 
 
 # Past MAX_CHECKS (the (k + 1)·(min(n, k) + 10) level count of the sweep
-# plus samples times n, times the k + 1 peel steps for a curved body)
+# plus samples times n, times CURVED_WEIGHT + k + 1 for a curved body)
 # verify-cover is refused before any work: by the sweep of an exact
 # covering with n, k >= 10^4, or by the samples of any body.
 @SETTINGS

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,60 @@ def test_verify_covering_exact_broken_witness_fails(broken_witnesses):
     assert report.witness_failures > 0
 
 
+def _assert_reports_ignore_the_blocks(monkeypatch):
+    # One body per family, 23 samples: blocks of 1, 2 and 3 samples (the
+    # last one short) and the default single block give one report, and
+    # sample_boundary is called once per block.
+    default, sample = covering._SAMPLE_BLOCK, bodies.sample_boundary
+    counts = []
+
+    def counted(body, count, seed):
+        counts.append(count)
+        return sample(body, count, seed)
+
+    monkeypatch.setattr(bodies, "sample_boundary", counted)
+    for base, k in ((bodies.BodySpec("simplex", 3), 2), (bodies.BodySpec("crosspolytope", 4), 1),
+                    (bodies.BodySpec("qlp", 3, 2.0), 1), (bodies.BodySpec("lp", 5, 2.5), 2)):
+        n = base.n
+        expected = covering._verify(base, k, 23, 5)
+        for coords, block in ((1, 1), (n - 1, 1), (n + 1, 1), (2 * n + 1, 2), (3 * n, 3),
+                              (default, 23)):
+            monkeypatch.setattr(covering, "_SAMPLE_BLOCK", coords)
+            counts.clear()
+            assert covering._verify(base, k, 23, 5) == expected
+            assert counts == [block] * (23 // block) + [23 % block] * (23 % block > 0)
+        monkeypatch.setattr(covering, "_SAMPLE_BLOCK", default)
+    return expected
+
+
+def test_report_does_not_depend_on_the_sample_blocks(monkeypatch):
+    assert _assert_reports_ignore_the_blocks(monkeypatch).ok
+
+
+def test_failures_do_not_depend_on_the_sample_blocks(broken_witnesses, monkeypatch):
+    assert _assert_reports_ignore_the_blocks(monkeypatch).witness_failures == 23
+
+
+def test_verification_memory_does_not_grow_with_samples():
+    # Past n = 2048 a block is one sample, and the previous sample is
+    # released before the next is drawn, so 8 samples peak where 1 does.
+    # Holding every sample, or the last one across blocks, peaks 8 or 2
+    # times as high.
+    def peak(base, k, samples):
+        tracemalloc.start()
+        try:
+            covering._verify(base, k, samples, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for base, k in ((bodies.BodySpec("crosspolytope", 3000), 1),
+                    (bodies.BodySpec("lp", 5000, 2.0), 0)):
+        covering._verify(base, k, 1, 3)
+        one, eight = peak(base, k, 1), peak(base, k, 8)
+        assert eight <= 1.1 * one, (base.family, one, eight)
+
+
 def test_translate_sweep_counts_escaping_vertices(monkeypatch):
     # Below the covering scale, translate vertices of the top shells leave
     # the body while every witness still holds.  The verifier's sweep, the
@@ -209,12 +264,13 @@ def test_check_budget_is_exact_and_refuses_before_any_work(monkeypatch):
     # The cross-polytope sweep at n = 2, k = 1 counts k + 1 = 2 levels at
     # min(n, k) + 10 = 11 each: 22 checks, plus 4 samples x n = 2 exact
     # coordinates at SAMPLE_WEIGHT = 70 each is 582.  A curved body has
-    # no sweep; each sample costs n checks per peel step, k + 1 of them,
-    # so 5 samples x n = 2 x 3 at k = 2 is 30.
-    assert covering.SAMPLE_WEIGHT == 70
+    # no sweep; each sampled coordinate costs CURVED_WEIGHT = 19 checks to
+    # draw and re-check plus one per peel step, k + 1 of them, so 5
+    # samples x n = 2 x 22 at k = 2 is 220.
+    assert (covering.SAMPLE_WEIGHT, covering.CURVED_WEIGHT) == (70, 19)
     monkeypatch.setattr(covering, "MAX_CHECKS", 582)
     assert verify_covering_exact("crosspolytope", 2, 1, samples=4, seed=1).ok
-    monkeypatch.setattr(covering, "MAX_CHECKS", 30)
+    monkeypatch.setattr(covering, "MAX_CHECKS", 220)
     assert verify_covering_lp("lp", 2, 2.0, 2, samples=5, seed=1).ok
     monkeypatch.setattr(covering, "MAX_CHECKS", 29)
 
@@ -226,8 +282,9 @@ def test_check_budget_is_exact_and_refuses_before_any_work(monkeypatch):
                        r"x min\(n, k\) \+ 10 = 11 \+ 4 samples x n = 2 x 70 per exact "
                        r"coordinate\), over the budget of 29$"):
         verify_covering_exact("crosspolytope", 2, 1, samples=4, seed=1)
-    with pytest.raises(ValueError, match=r"^verification needs 30 checks \(5 samples "
-                       r"x n = 2 x k \+ 1 = 3\), over the budget of 29$"):
+    with pytest.raises(ValueError, match=r"^verification needs 220 checks \(5 samples "
+                       r"x n = 2 x 19 \+ k \+ 1 = 22 per curved coordinate\), "
+                       r"over the budget of 29$"):
         verify_covering_lp("lp", 2, 2.0, 2, samples=5, seed=1)
     # The simplex at n = 3, k = 2: 3 levels at 12 each, plus 1 sample x n = 3 x 70.
     with pytest.raises(ValueError, match=r"^verification needs 246 checks \(3 levels"):
@@ -235,6 +292,9 @@ def test_check_budget_is_exact_and_refuses_before_any_work(monkeypatch):
     monkeypatch.setattr(covering, "MAX_CHECKS", 581)
     with pytest.raises(ValueError, match=r"^verification needs 582 checks "):
         verify_covering_exact("crosspolytope", 2, 1, samples=4, seed=1)
+    monkeypatch.setattr(covering, "MAX_CHECKS", 219)
+    with pytest.raises(ValueError, match=r"^verification needs 220 checks "):
+        verify_covering_lp("lp", 2, 2.0, 2, samples=5, seed=1)
 
 
 def test_exact_samples_are_charged_on_the_sweep_scale(monkeypatch):
@@ -247,6 +307,21 @@ def test_exact_samples_are_charged_on_the_sweep_scale(monkeypatch):
     for samples, checks in ((999, 6993000022), (15, 105000022)):
         with pytest.raises(ValueError, match=rf"^verification needs {checks} checks"):
             verify_covering_exact("crosspolytope", 100000, 1, samples=samples, seed=1)
+
+
+def test_curved_samples_are_charged_their_drawing(monkeypatch):
+    # At k = 0 a curved coordinate is charged 19 + 1 checks: one sample at
+    # n = 99,000,000, minutes of drawing, is refused, and n = 5,000,000
+    # is the largest single sample admitted.
+    def no_work(*args):
+        raise AssertionError("sampled before the budget check")
+
+    monkeypatch.setattr(bodies, "sample_boundary", no_work)
+    for n, checks in ((99000000, 1980000000), (5000001, 100000020)):
+        with pytest.raises(ValueError, match=rf"^verification needs {checks} checks"):
+            verify_covering_lp("lp", n, 2.0, 0, samples=1, seed=1)
+    with pytest.raises(AssertionError, match="^sampled before the budget check$"):
+        verify_covering_lp("lp", 5000000, 2.0, 0, samples=1, seed=1)
 
 
 def test_level_sweep_matches_the_enumerating_oracles():
