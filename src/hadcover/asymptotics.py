@@ -9,8 +9,9 @@ approach their limits.  A threshold k(n) is the largest k whose count
 fits in 2^n; every k returned is certified by two exact big-integer
 comparisons, count(k) <= 2^n < count(k+1).  The cross-polytope walks its
 Delannoy row up to the first count past 2^n, the work of one count.  The
-simplex and k1, where one math.comb beats that walk, make one full count
-at a float estimate of k and step from it by their exact count ratios.
+simplex and k1 share one seeded search for the largest k with
+base^k C(n+k, k) <= 2^n, base 1 or 2: one full count at a float estimate
+of k, then exact steps by the ratio base (n+k+1)/(k+1).
 """
 
 from __future__ import annotations
@@ -153,10 +154,7 @@ def a_of_t(t: float) -> float:
 
 def k_of_n_simplex(n: int) -> int:
     """Largest k with C(n+k, n) <= 2^n, by exact comparison."""
-    target = _budget(n)
-    start = _predict_k(lambda k: _log_comb(n + k, k), n, target)
-    # C(n+k+1, k+1) = C(n+k, k) (n+k+1) / (k+1).
-    return _largest_k(lambda k: m1_count(n, k), target, start, lambda k: (n + k + 1, k + 1))
+    return _m1_threshold(n, 1)
 
 
 def k_max_crosspolytope(n: int) -> int:
@@ -173,43 +171,38 @@ def _budget(n: int) -> int:
     return 1 << n
 
 
-def _log_comb(a: int, b: int) -> float:
-    """ln C(a, b) in floats."""
-    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
-
-
-def _predict_k(log_count: Callable[[int], float], n: int, target: int) -> int:
-    # Bisection for the largest k in [0, n] with log_count(k) <= ln(target);
-    # log_count is a float estimate, so the result only seeds _largest_k.
-    log_target = math.log(target)
+def _m1_threshold(n: int, base: int) -> int:
+    # The largest k with base^k C(n+k, k) <= 2^n, for base 1 or 2.  A
+    # bisection over [0, n] on the float log of that count seeds the exact
+    # walk; base^k C(n+k, k) grows by base (n+k+1)/(k+1) at each step.
+    target = _budget(n)
+    log_target, log_base = math.log(target), math.log(base)
     lo, hi = 0, n
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if log_count(mid) <= log_target else (lo, mid - 1)
-    return lo
+        log_count = (math.lgamma(n + mid + 1) - math.lgamma(mid + 1) - math.lgamma(n + 1)
+                     + mid * log_base)
+        lo, hi = (mid, hi) if log_count <= log_target else (lo, mid - 1)
+    return _largest_k(lambda k: base**k * m1_count(n, k), target, lo,
+                      lambda k: (base * (n + k + 1), k + 1))
 
 
 def _largest_k(count: Callable[[int], int], target: int, start: int,
                ratio: Callable[[int], tuple[int, int]]) -> int:
-    # The k with count(k) <= target < count(k+1), by a walk from start:
-    # one full count there, then one step at a time, down while the count
-    # exceeds target, otherwise up while the next count fits.  ratio(k) =
-    # (num, den) gives count(k+1) = count(k) * num / den exactly, so a step
-    # is one big-by-small multiply and divide.  count(0) <= target stops the
-    # walk down at k >= 0.  A wrong start costs steps, never the certificate.
-    def step(k: int, value: int, d: int) -> int:
-        # count(k + d), for d = 1 or -1.
-        num, den = ratio(min(k, k + d))
-        return value * num // den if d > 0 else value * den // num
-
+    # The k with count(k) <= target < count(k+1), by a walk from start: one
+    # full count there, then one exact step at a time, down while the count
+    # exceeds target, then up while the next count fits.  ratio(k) =
+    # (num, den) gives count(k+1) = count(k) * num / den exactly.
+    # count(0) <= target stops the walk down at k >= 0.  A wrong start
+    # costs steps, never the certificate.
     k, value = start, count(start)
-    if value > target:
-        while value > target:
-            k, value = k - 1, step(k, value, -1)
-        return k
-    while (value := step(k, value, 1)) <= target:
-        k += 1
-    return k
+    while value > target:
+        num, den = ratio(k - 1)
+        k, value = k - 1, value * den // num
+    while value <= target:
+        num, den = ratio(k)
+        k, value = k + 1, value * num // den
+    return k - 1
 
 
 def k1_k2_of_n(n: int) -> tuple[int, int]:
@@ -218,10 +211,7 @@ def k1_k2_of_n(n: int) -> tuple[int, int]:
     Each is the last k before its product first exceeds 2^n.
     """
     target = _budget(n)
-    # 2^k C(n+k, k) grows by the factor 2(n+k+1)/(k+1) > 1 at each step.
-    start = _predict_k(lambda k: k * math.log(2.0) + _log_comb(n + k, k), n, target)
-    k1 = _largest_k(lambda k: (1 << k) * m1_count(n, k), target, start,
-                    lambda k: (2 * (n + k + 1), k + 1))
+    k1 = _m1_threshold(n, 2)
     # 2^k C(n, k) is not monotone: it rises while k < (2n-1)/3, then falls
     # back to exactly 2^n at k = n.  So k2 walks up from k = 0, carrying the
     # next term 2^(k+1) C(n, k+1) by the ratio 2(n-k)/(k+1), and stops at

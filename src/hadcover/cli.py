@@ -23,8 +23,12 @@ from .bodies import FAMILIES, LP, QUARTER_LP
 FORMATS = ("plain", "json", "csv")
 # Lines per write of a listing (fewer past 16 * _BLOCK bytes): memory bounded by one block.
 _BLOCK = 4096
-# verify-cover's --p when omitted; simplex and crosspolytope are p = 1 bodies.
+# --p when omitted; simplex and crosspolytope are p = 1 bodies.
 _DEFAULT_P = {QUARTER_LP: 2.0, LP: 2.0}
+
+
+def _p(args) -> float:
+    return _DEFAULT_P.get(args.body, 1.0) if args.p is None else args.p
 
 
 def _scalar(value) -> str:
@@ -145,9 +149,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify_cover(args) -> int:
-    p = _DEFAULT_P.get(args.body, 1.0) if args.p is None else args.p
-    report = covering.verify_covering_lp(args.body, args.n, p, args.k, args.samples,
-                                         args.seed)
+    report = covering.verify_covering_lp(args.body, args.n, _p(args), args.k,
+                                         args.samples, args.seed)
     d = report.to_dict()
     lines = [f"{key} = {_scalar(value)}" for key, value in d.items() if key != "ok"]
     _render(args.format, d, lines=lines + ["ok" if report.ok else "FAILED"])
@@ -155,7 +158,7 @@ def _cmd_verify_cover(args) -> int:
 
 
 def _cmd_gamma_bound(args) -> int:
-    bound = covering.gamma_upper_bound(args.body, args.n, args.p, args.k)
+    bound = covering.gamma_upper_bound(args.body, args.n, _p(args), args.k)
     record = {"m": str(bound.m), "rho": _scalar(bound.rho)}
     _render(args.format, record, rows=[list(record), list(record.values())])
     return 0
@@ -193,10 +196,11 @@ def _cmd_converge(args) -> int:
     n_list = [int(part) for part in args.n_list.split(",") if part]
     if not n_list:
         raise ValueError("--n-list must name at least one dimension")
-    rows = asymptotics.convergence_table(args.body, n_list, args.p)
+    p = _p(args)
+    rows = asymptotics.convergence_table(args.body, n_list, p)
     record = {
         "family": args.body,
-        "p": args.p,
+        "p": p,
         "rows": [{"n": r.n, "k": r.k, "ratio": r.ratio, "bound": r.bound} for r in rows],
     }
     _render(
@@ -251,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gamma-bound", _cmd_gamma_bound, "covering-functional upper bound",
             "--body", "--n", "--k")
-    p.add_argument("--p", type=float, default=1.0)
+    p.add_argument("--p", type=float)
 
     p = add("tnpk", _cmd_tnpk, "certified l_p scale sequence", "--n")
     p.add_argument("--p", type=float, required=True)
@@ -261,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("converge", _cmd_converge, "threshold/bound table over dimensions", "--body")
     p.add_argument("--n-list", required=True, help="comma-separated dimensions")
-    p.add_argument("--p", type=float, default=1.0)
+    p.add_argument("--p", type=float)
 
     p = add("rz-bound", _cmd_rz_bound, "classical translate-count bound", "--n")
     p.add_argument("--r", type=float, required=True)

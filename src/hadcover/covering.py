@@ -294,6 +294,7 @@ def _peel(base: BodySpec, n: int, k: int, y: Sequence[float]) -> WitnessDecompos
     x = list(y)
     z = [0] * n
     moves = 0
+    # Moves choose by magnitude, not term: |x_i|^p underflows to 0 at large p.
     mags = [abs(float(c)) for c in x]
     terms = list(map(pow, mags, repeat(base.p)))
     while moves < k and not bodies._float_inside(base, x, terms):
@@ -356,7 +357,7 @@ def verify_covering_lp(
     n: int,
     p: float,
     k: int,
-    samples: int = 500,
+    samples: int = 1000,
     seed: int = 42,
 ) -> CoveringReport:
     """Peeling verification of the one-sided l_p covering inclusion.

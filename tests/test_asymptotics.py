@@ -38,6 +38,9 @@ def test_solve_root_basics():
     assert got == pytest.approx(0.25, abs=1e-12)
     with pytest.raises(ValueError):
         solve_root(lambda x: x, 5.0, 0.0, 1.0)
+    # A root at an endpoint is returned as that endpoint, with no bisection.
+    assert solve_root(lambda x: x, 0.0, 0.0, 1.0) == 0.0
+    assert solve_root(lambda x: x, 1.0, 0.0, 1.0) == 1.0
     # A jump at the root leaves a residual of 1/2 when the bracket can no
     # longer be split; the relative check must not accept it.
     with pytest.raises(ValueError, match="bisection stalled above the tolerance"):

@@ -88,6 +88,12 @@ def test_contains_float_rejects_polytopal_bodies():
         contains_float(BodySpec(SIMPLEX, 2), (0.5, 0.5))
 
 
+def test_contains_exact_rejects_curved_bodies():
+    for body in (BodySpec(QUARTER_LP, 2, 2.0), BodySpec(LP, 2, 1.5)):
+        with pytest.raises(ValueError, match="exact membership needs a polytopal body"):
+            contains_exact(body, (0, 0))
+
+
 def test_contains_exact_rejects_inexact_coordinates():
     for point in ((0.5, 0.5), ("1/2", 0)):
         with pytest.raises(ValueError, match="int or Fraction"):
@@ -334,6 +340,13 @@ def test_shell_bias_share():
     points = sample_boundary(body, 400, 3)
     in_shell = sum(1 for p in points if sum(p) > 2)
     assert in_shell >= 280
+
+
+def test_sample_count_must_be_positive():
+    for body in (BodySpec(SIMPLEX, 2), BodySpec(LP, 2, 2.0)):
+        for count in (0, -1):
+            with pytest.raises(ValueError, match="count must be >= 1"):
+                sample_boundary(body, count, 7)
 
 
 def test_one_dimensional_samples():

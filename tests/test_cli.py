@@ -216,6 +216,25 @@ def test_domain_errors_exit_2(capsys):
         assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+def test_zero_samples_exit_2_with_one_line(capsys):
+    assert run_cli(capsys, *"verify-cover --body simplex --n 3 --k 1 --samples 0".split()) == (
+        2, "", "error: samples must be >= 1\n")
+
+
+def test_every_omitted_p_takes_the_body_default(capsys):
+    # qlp and lp default to p = 2, simplex and crosspolytope to p = 1, in
+    # verify-cover, gamma-bound and converge alike.
+    for body, p in (("simplex", "1"), ("crosspolytope", "1"), ("qlp", "2"), ("lp", "2")):
+        for argv in (f"verify-cover --body {body} --n 3 --k 1 --samples 20",
+                     f"gamma-bound --body {body} --n 4 --k 2",
+                     f"converge --body {body} --n-list 8,16 --format json"):
+            want = run_cli(capsys, *argv.split(), "--p", p)
+            assert want[0] == 0, argv
+            assert run_cli(capsys, *argv.split()) == want, argv
+    code, out, _ = run_cli(capsys, *"gamma-bound --body lp --n 4 --k 2".split())
+    assert (code, out) == (0, "m = 41\nrho = 0.816496580927726\n")
+
+
 def test_overflow_errors_name_the_argument(capsys):
     for argv, err_want in (
         ("rz-bound --n 10 --r 5e-324",

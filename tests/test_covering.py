@@ -566,6 +566,23 @@ def test_verify_covering_lp_validation():
     assert str(lp_error.value) == str(exact_error.value)
 
 
+def test_verify_covering_exact_refuses_curved_families():
+    for family in ("qlp", "lp"):
+        with pytest.raises(ValueError,
+                           match="exact verification covers simplex and crosspolytope"):
+            verify_covering_exact(family, 3, 1)
+
+
+def test_both_verifiers_default_to_1000_samples():
+    # The same p = 1 verification draws the same samples from either entry point.
+    via_lp = verify_covering_lp("simplex", 3, 1.0, 1)
+    direct = verify_covering_exact("simplex", 3, 1)
+    assert via_lp.samples == direct.samples == 1000
+    assert via_lp.to_dict() == direct.to_dict()
+    curved = verify_covering_lp("qlp", 2, 2.0, 1)
+    assert curved.samples == sum(curved.shell_levels.values()) == 1000
+
+
 def test_verify_covering_lp_refuses_an_unresolved_scale():
     # Past p * 2^-53 = TOL an ulp of the float scale moves scale**p by
     # more than the membership slack.
