@@ -154,7 +154,7 @@ def contains_float(body: BodySpec, point: Sequence[float]) -> bool:
 
 def _float_inside(body: BodySpec, coords: Sequence, terms: Iterable[float]) -> bool:
     """contains_float's rule, given finite coords and their terms |x_i|^p in order."""
-    if body.family == QUARTER_LP and float(min(coords)) < -TOL:
+    if body.family == QUARTER_LP and min(coords) < -TOL:
         return False
     return _sum_in_order(terms) <= body.bound * (1.0 + TOL)
 

@@ -10,7 +10,6 @@ the reader closes stdout before the output ends.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import json
@@ -31,17 +30,14 @@ def _p(args) -> float:
     return _DEFAULT_P.get(args.body, 1.0) if args.p is None else args.p
 
 
-def _scalar(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def _render(fmt: str, record: dict, rows=None, lines=None, array=None) -> None:
-    """Print one command's result in the requested format.
+    """Print one command's result, given its lines as text, as fmt.
 
     json prints the record, streaming the lines as bracketed items into
-    its empty list ``record[array]``; csv prints the header-first rows,
-    or the plain lines when the command has no table; plain prints the
-    lines, by default one ``key = value`` per record item, streamed.
+    its empty list ``record[array]``.  csv and plain stream through
+    _write_blocks: csv the header-first rows, str() fields joined by
+    commas (none needs quoting), or the plain lines when the command has
+    no table; plain the lines, by default one ``key = value`` per item.
     """
     if fmt == "json":
         text = json.dumps(record, sort_keys=True, separators=(",", ":"))
@@ -50,22 +46,22 @@ def _render(fmt: str, record: dict, rows=None, lines=None, array=None) -> None:
             sys.stdout.write(head + key)
             _write_blocks(lines, "],[", "]", "[", ",[")
         print(text)
-    elif fmt == "csv" and rows is not None:
-        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     else:
-        if lines is None:
-            lines = (f"{key} = {_scalar(value)}" for key, value in record.items())
+        if fmt == "csv" and rows is not None:
+            lines = (",".join(map(str, row)) for row in rows)
+        elif lines is None:
+            lines = (f"{key} = {value}" for key, value in record.items())
         _write_blocks(lines)
 
 
 def _write_blocks(lines, sep="\n", end="\n", start="", restart="") -> None:
-    """Write the lines in blocks, one write each of start + the block joined
-    by sep + end, where start becomes restart after the first block.
+    """Write the text lines in blocks, one write each of start + the block
+    joined by sep + end, where start becomes restart after the first block.
 
     A block is _BLOCK lines, fewer when its first line is wide: at most
     16 * _BLOCK bytes of lines as wide as that one, and one line at least.
     """
-    lines = map(str, lines)
+    lines = iter(lines)
     for first in lines:
         more = max(1, min(_BLOCK, 16 * _BLOCK // (len(first) + 1))) - 1
         sys.stdout.write(start + sep.join([first, *itertools.islice(lines, more)]) + end)
@@ -152,21 +148,21 @@ def _cmd_verify_cover(args) -> int:
     report = covering.verify_covering_lp(args.body, args.n, _p(args), args.k,
                                          args.samples, args.seed)
     d = report.to_dict()
-    lines = [f"{key} = {_scalar(value)}" for key, value in d.items() if key != "ok"]
+    lines = [f"{key} = {value}" for key, value in d.items() if key != "ok"]
     _render(args.format, d, lines=lines + ["ok" if report.ok else "FAILED"])
     return 0 if report.ok else 1
 
 
 def _cmd_gamma_bound(args) -> int:
     bound = covering.gamma_upper_bound(args.body, args.n, _p(args), args.k)
-    record = {"m": str(bound.m), "rho": _scalar(bound.rho)}
+    record = {"m": str(bound.m), "rho": str(bound.rho)}
     _render(args.format, record, rows=[list(record), list(record.values())])
     return 0
 
 
 def _cmd_tnpk(args) -> int:
     seq = covering.t_sequence(args.n, args.p, args.k)
-    t = [_scalar(value) for value in seq.values]
+    t = list(map(str, seq.values))
     _render(args.format, {"n": args.n, "p": args.p, "t": t},
             rows=[["k", "t"], *enumerate(t)], lines=t)
     return 0
@@ -188,7 +184,7 @@ def _cmd_constants(args) -> int:
         "c4_alt_variant_has_root": False,
     }
     keys = sorted(report)
-    _render(args.format, report, rows=[keys, [_scalar(report[k]) for k in keys]])
+    _render(args.format, report, rows=[keys, [report[k] for k in keys]])
     return 0
 
 
@@ -206,8 +202,8 @@ def _cmd_converge(args) -> int:
     _render(
         args.format, record,
         rows=[["n", "k", "ratio", "bound"]]
-        + [[r.n, r.k, repr(r.ratio), repr(r.bound)] for r in rows],
-        lines=[f"n={r.n} k={r.k} ratio={r.ratio!r} bound={r.bound!r}" for r in rows],
+        + [[r.n, r.k, r.ratio, r.bound] for r in rows],
+        lines=[f"n={r.n} k={r.k} ratio={r.ratio} bound={r.bound}" for r in rows],
     )
     return 0
 
@@ -215,7 +211,7 @@ def _cmd_converge(args) -> int:
 def _cmd_rz_bound(args) -> int:
     value = asymptotics.rogers_zong_bound(args.n, args.r, args.variant)
     record = {"n": args.n, "r": args.r, "variant": args.variant, "bound": value}
-    _render(args.format, record, lines=[repr(value)])
+    _render(args.format, record, lines=[str(value)])
     return 0
 
 
@@ -297,7 +293,3 @@ def main(argv=None) -> int:
     finally:
         sys.set_int_max_str_digits(digits)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -295,7 +295,7 @@ def _peel(base: BodySpec, n: int, k: int, y: Sequence[float]) -> WitnessDecompos
     z = [0] * n
     moves = 0
     # Moves choose by magnitude, not term: |x_i|^p underflows to 0 at large p.
-    mags = [abs(float(c)) for c in x]
+    mags = list(map(abs, x))
     terms = list(map(pow, mags, repeat(base.p)))
     while moves < k and not bodies._float_inside(base, x, terms):
         i = mags.index(max(mags))
@@ -303,7 +303,7 @@ def _peel(base: BodySpec, n: int, k: int, y: Sequence[float]) -> WitnessDecompos
         x[i] -= step
         z[i] += step
         moves += 1
-        mags[i] = abs(float(x[i]))
+        mags[i] = abs(x[i])
         terms[i] = mags[i] ** base.p
     return WitnessDecomposition(tuple(z), tuple(x), moves)
 

@@ -279,18 +279,23 @@ def test_count_budget_admits_big_counts_of_small_work(capsys):
 
 def test_cli_set_up_imports_no_code_tools():
     # dataclasses alone pulled in inspect, ast, dis and tokenize: about 18 ms
-    # of each CLI call's set-up, before any command ran.
+    # of each CLI call's set-up, before any command ran.  csv tables go
+    # through the plain writer, so a csv command imports no csv either.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     script = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "import hadcover.cli\n"
         "hadcover.cli.build_parser()\n"
-        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))\n"
+        "assert hadcover.cli.main(['count', '--set', 'm2', '--n', '3', '--k', '2',"
+        " '--format', 'csv']) == 0\n"
+        "print(sorted({'csv', 'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
+        " & set(sys.modules)))\n"
     )
     result = subprocess.run([sys.executable, "-I", "-S", "-c", script],
                             capture_output=True, text=True)
-    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, "set,n,k,count\nm2,3,2,25\n[]\n", "")
 
 
 def test_argparse_errors_exit_2(capsys):
@@ -364,7 +369,7 @@ def _printed(lines):
 
 @pytest.mark.parametrize("size", [1, 4095, 4096, 4097, 8193])
 def test_render_writes_the_bytes_of_one_print_per_line(size):
-    lines = [i if i % 3 else f"line {i}" for i in range(size)]
+    lines = [str(i) if i % 3 else f"line {i}" for i in range(size)]
     for fmt in ("plain", "csv"):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -378,7 +383,7 @@ def test_render_streams_one_block_at_a_time(monkeypatch):
     def lines():
         for i in range(8193):
             pulled.append(i)
-            yield i
+            yield str(i)
 
     class Stdout:
         def write(self, text):

@@ -13,6 +13,7 @@ record both again after an intended output change:
 """
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -97,6 +98,20 @@ def test_cli_output_matches_golden(golden, argv):
 def test_help_matches_golden(help_golden, argv):
     assert run(argv) == help_golden[argv]
     assert help_golden[argv]["code"] == 0
+
+
+def test_csv_fields_never_need_quoting(golden):
+    # csv rows share the plain writer: their fields are joined by commas as
+    # they are, which is what csv.writer would write for fields like these.
+    argvs = [argv for argv in golden if argv.endswith("--format csv")]
+    assert len(argvs) == len(COMMANDS)
+    for argv in argvs:
+        lines = golden[argv]["stdout"].splitlines()
+        fields = [line.split(",") for line in lines]
+        assert list(csv.reader(lines)) == fields, argv
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(fields)
+        assert out.getvalue() == golden[argv]["stdout"], argv
 
 
 if __name__ == "__main__":
