@@ -204,9 +204,8 @@ def sample_boundary(body: BodySpec, count: int, seed: int | random.Random) -> li
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    if body.is_polytopal:
-        return list(_sample_exact(body, rng, count))
-    return [_sample_float(body, rng) for _ in range(count)]
+    sampler = _sample_exact if body.is_polytopal else _sample_float
+    return list(sampler(body, rng, count))
 
 
 def _shell_floor(total: Scale, n: int) -> Scale:
@@ -233,30 +232,29 @@ def _sample_exact(body: BodySpec, rng: random.Random, count: int) -> Iterator[tu
                     for w in weights)
 
 
-def _sample_float(body: BodySpec, rng: random.Random) -> tuple:
-    n, p, bound = body.n, body.p, body.bound
-    if rng.random() < _SHELL_BIAS:
-        lo = _shell_floor(bound, n)
-        target = lo + (bound - lo) * rng.random()
-    else:
-        target = bound * rng.random()
-    while True:
-        weights = [rng.random() for _ in range(n)]
-        top = max(weights)
-        if top > 0:
-            break
-    # With the largest weight at 1 the power sum is >= 1 at any p.
-    weights = [w / top for w in weights]
-    factor = (target / _sum_in_order(map(pow, weights, repeat(p)))) ** (1.0 / p)
-    coords = [factor * w for w in weights]
-    # One ulp of factor scales the power sum by about exp(p * 2**-52),
-    # past any tolerance at large p: step down until the point is inside.
-    while _sum_in_order(map(pow, coords, repeat(p))) > bound:
-        factor = math.nextafter(factor, 0.0)
+def _sample_float(body: BodySpec, rng: random.Random, count: int) -> Iterator[tuple]:
+    n, p, bound, signed = body.n, body.p, body.bound, not body.nonnegative
+    lo, root = _shell_floor(bound, n), 1.0 / p
+    for _ in range(count):
+        shell = rng.random() < _SHELL_BIAS
+        target = lo + (bound - lo) * rng.random() if shell else bound * rng.random()
+        while True:
+            weights = [rng.random() for _ in range(n)]
+            top = max(weights)
+            if top > 0:
+                break
+        # With the largest weight at 1 the power sum is >= 1 at any p.
+        weights = [w / top for w in weights]
+        factor = (target / _sum_in_order(map(pow, weights, repeat(p)))) ** root
         coords = [factor * w for w in weights]
-    if not body.nonnegative:
-        coords = [c if rng.random() < 0.5 else -c for c in coords]
-    return tuple(coords)
+        # One ulp of factor scales the power sum by about exp(p * 2**-52),
+        # past any tolerance at large p: step down until the point is inside.
+        while _sum_in_order(map(pow, coords, repeat(p))) > bound:
+            factor = math.nextafter(factor, 0.0)
+            coords = [factor * w for w in weights]
+        if signed:
+            coords = [-c if rng.random() >= 0.5 else c for c in coords]
+        yield tuple(coords)
 
 
 def _check_dim(n: int, point: Sequence) -> None:

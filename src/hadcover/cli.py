@@ -3,8 +3,10 @@
 Output is deterministic: identical invocations produce byte-identical
 output.  Counts print as decimal strings, exact rationals as num/den,
 floats as their shortest round-trip repr.  Exit status 0 on success,
-1 when a covering verification fails, 2 on invalid input, 141 when
-the reader closes stdout before the output ends.
+1 when a covering verification fails, 2 on invalid input or a stdout
+that cannot be written (closed, or a full device), with one ``error:``
+line on stderr, and 141 when the reader closes stdout before the output
+ends.
 """
 
 from __future__ import annotations
@@ -273,6 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if sys.stdout is None:  # started with stdout closed (`>&-`)
+        print("error: cannot write the output: stdout is closed", file=sys.stderr)
+        return 2
     # Exact counts print in full, past the interpreter's int-to-text digit
     # limit; the caller's limit is back in place when main returns.
     digits = sys.get_int_max_str_digits()
@@ -283,13 +288,15 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader left (`| head`): exit as SIGPIPE would, 128 + 13, and
-        # point stdout at devnull so the interpreter's final flush stays quiet.
+    except OSError as exc:  # only stdout is written
+        # Point stdout at devnull so the interpreter's final flush stays quiet.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141  # the reader left (`| head`): exit as SIGPIPE would, 128 + 13
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 2
     finally:
         sys.set_int_max_str_digits(digits)
     return code

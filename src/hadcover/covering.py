@@ -290,7 +290,10 @@ def _peel(base: BodySpec, n: int, k: int, y: Sequence[float]) -> WitnessDecompos
     The shell level is the number of moves.  The terms |x_i|^p are
     computed once, each move recomputes its own, and bodies._float_inside
     decides every step on them, bit for bit as contains_float would.
+    At k = 0 no move can be made, and nothing is copied.
     """
+    if k == 0:
+        return WitnessDecomposition((0,) * n, tuple(y), 0)
     x = list(y)
     z = [0] * n
     moves = 0

@@ -307,6 +307,24 @@ def test_a_continued_stream_does_not_depend_on_the_split():
         assert [sample_boundary(body, 1, rng)[0] for _ in range(count)] == whole
 
 
+def test_each_call_reads_its_body_once(monkeypatch):
+    # Both samplers take the shell floor, like the rest of the body's
+    # constants, once per call, however many samples land in the shell.
+    calls = []
+
+    def floor(total, n):
+        calls.append(n)
+        return shell_floor(total, n)
+
+    shell_floor = bodies._shell_floor
+    monkeypatch.setattr(bodies, "_shell_floor", floor)
+    for body in (BodySpec(SIMPLEX, 3, scale=Fraction(3, 2)),
+                 BodySpec(CROSSPOLYTOPE, 4, scale=Fraction(9, 10)),
+                 BodySpec(QUARTER_LP, 3, 2.5, 1.2), BodySpec(LP, 5, 1.5, 2)):
+        calls.clear()
+        assert len(sample_boundary(body, 50, 7)) == 50
+        assert calls == [body.n], body.family
+
 def test_samples_stay_inside_exact_bodies():
     for body in (BodySpec(SIMPLEX, 3, scale=Fraction(3, 2)),
                  BodySpec(CROSSPOLYTOPE, 2, scale=Fraction(5, 2))):

@@ -563,3 +563,28 @@ def test_closed_pipe_exits_141_quietly():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+# Starts the CLI with fd 1 closed, as a shell's `>&-` does.
+_CLOSED_STDOUT = ("import os, sys; os.close(1); "
+                  "os.execv(sys.executable, [sys.executable, '-m', 'hadcover', *sys.argv[1:]])")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_stdout_exits_2_with_one_line():
+    # A write error is not a failed covering (exit 1): one error line,
+    # exit 2, and no traceback or "Exception ignored" at the final flush.
+    count = ["count", "--set", "m1", "--n", "3", "--k", "2"]
+    verify = ["verify-cover", "--body", "simplex", "--n", "3", "--k", "1", "--samples", "5"]
+    runs = []
+    for argv in (count, verify):
+        with open("/dev/full", "w") as full:
+            runs.append(subprocess.run([sys.executable, "-m", "hadcover", *argv],
+                                       stdout=full, stderr=subprocess.PIPE, text=True))
+    runs.append(subprocess.run([sys.executable, "-c", _CLOSED_STDOUT, *verify],
+                               stderr=subprocess.PIPE, text=True))
+    for result in runs:
+        lines = result.stderr.splitlines()
+        assert result.returncode == 2, result.stderr
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+        assert "Traceback" not in result.stderr

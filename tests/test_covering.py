@@ -152,6 +152,22 @@ def test_peel_matches_one_membership_call_per_move():
     assert cases > 10000
 
 
+def test_peel_at_k_zero_copies_nothing():
+    # No move can be made, so the peel returns y itself as the residual
+    # and builds only the zero translate, 8 bytes per coordinate; copying
+    # y into the lists of a move took 96.
+    n = 10**5
+    base = bodies.BodySpec("lp", n, 2.0)
+    y = tuple(random.Random(5).random() for _ in range(n))
+    tracemalloc.start()
+    try:
+        w = covering._peel(base, n, 0, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (w.z, w.residual, w.shell_level) == ((0,) * n, y, 0)
+    assert peak < 24 * n, peak / n
+
 def test_verify_covering_exact_passes():
     for family in ("simplex", "crosspolytope"):
         report = verify_covering_exact(family, 3, 2, samples=200, seed=1)
