@@ -23,6 +23,7 @@ from .bodies import (
     QUARTER_LP,
     SIMPLEX,
     BodySpec,
+    RationalPoint,
     contains_exact,
     contains_float,
     sample_boundary,
@@ -59,6 +60,7 @@ __all__ = [
     "LP",
     "LatticeSetSpec",
     "QUARTER_LP",
+    "RationalPoint",
     "SIMPLEX",
     "TSequence",
     "WitnessDecomposition",

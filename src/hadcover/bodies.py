@@ -14,9 +14,10 @@ import contextlib
 import functools
 import math
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 SIMPLEX = "simplex"
 CROSSPOLYTOPE = "crosspolytope"
@@ -102,35 +103,87 @@ class BodySpec(_BodyFields):
         return Fraction(num, den) if self.is_polytopal else (num / den) ** (1.0 / self.p)
 
 
+class RationalPoint(Sequence):
+    """The exact point nums[i]/den: int numerators over one positive int den.
+
+    It reads as the tuple of its Fractions (len, indexing, iteration,
+    == with tuples, hash and repr) and builds a Fraction only when a
+    coordinate is read; the exact functions work on nums and den.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: Iterable[int], den: int):
+        nums = tuple(nums)
+        if not all(map(isinstance, nums, repeat(int))):
+            raise ValueError("numerators must be ints")
+        if not isinstance(den, int) or den < 1:
+            raise ValueError("den must be a positive int")
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return RationalPoint, (self.nums, self.den)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return RationalPoint(self.nums[i], self.den)
+        return Fraction(self.nums[i], self.den)
+
+    def __iter__(self) -> Iterator[Fraction]:
+        return map(Fraction, self.nums, repeat(self.den))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, RationalPoint)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 def contains_exact(body: BodySpec, point: Sequence) -> bool:
     """Exact membership test for polytopal bodies (boundary counts as inside).
 
-    Coordinates must be ints or Fractions and are used as given; any
-    other type raises ValueError.  The decision never rounds.
+    Coordinates must be ints or Fractions, used as given, or the point
+    a RationalPoint; any other type raises ValueError.  The decision
+    never rounds: sum |N_i| * b <= a * D for the bound a/b.
     """
     if not body.is_polytopal:
         raise ValueError("exact membership needs a polytopal body (p = 1)")
-    lcm_form = _exact_magnitudes(body.n, body.nonnegative, point)
-    if lcm_form is None:
+    point = _exact_form(body.n, body.nonnegative, point)
+    if point is None:
         return False
-    den, mags = lcm_form
     bound = body.bound
-    return sum(mags) * bound.denominator <= bound.numerator * den
+    return sum(map(abs, point.nums)) * bound.denominator <= bound.numerator * point.den
 
 
-def _exact_magnitudes(n: int, nonnegative: bool, point: Sequence) -> tuple[int, list] | None:
-    """(D, [|c_i|·D]), D the lcm denominator; None for a c_i < 0 if nonnegative.
+def _exact_form(n: int, nonnegative: bool, point: Sequence) -> RationalPoint | None:
+    """point as a RationalPoint N/D; None for a coordinate < 0 if nonnegative.
 
-    contains_exact's validation and lcm form, so the witness peels the
-    numbers membership reads; each caller compares with its own bound.
+    The one place where an exact point becomes integers: a RationalPoint
+    passes through, an int or Fraction sequence is validated and put
+    over the lcm D of its denominators.  contains_exact and the witness
+    both read it, each comparing with its own bound.
     """
     _check_dim(n, point)
-    if not all(map(isinstance, point, repeat((int, Fraction)))):
-        raise ValueError("exact coordinates must be int or Fraction")
-    if nonnegative and any(c.numerator < 0 for c in point):
+    if not isinstance(point, RationalPoint):
+        if not all(map(isinstance, point, repeat((int, Fraction)))):
+            raise ValueError("exact coordinates must be int or Fraction")
+        den = math.lcm(*(c.denominator for c in point))
+        point = RationalPoint([c.numerator * (den // c.denominator) for c in point], den)
+    if nonnegative and min(point.nums) < 0:
         return None
-    den = math.lcm(*(c.denominator for c in point))
-    return den, [abs(c.numerator) * (den // c.denominator) for c in point]
+    return point
 
 
 def contains_float(body: BodySpec, point: Sequence[float]) -> bool:
@@ -189,14 +242,15 @@ _SAMPLE_DENOMINATOR = 10**4
 _SHELL_BIAS = 0.8
 
 
-def sample_boundary(body: BodySpec, count: int, seed: int | random.Random) -> list[tuple]:
+def sample_boundary(body: BodySpec, count: int, seed: int | random.Random) -> list[Sequence]:
     """Deterministic in-body samples, biased toward the outer shell.
 
     80% of the samples land in the outermost slab of the defining sum
     (width min(1, range/n), the region where covering arguments are
     nontrivial); the rest spread uniformly in depth.  Polytopal bodies
-    yield exact rational points, each target sum drawn as an integer
-    numerator over a fixed denominator; curved ones yield float points.
+    yield RationalPoints, integer numerators over one denominator, each
+    target sum drawn as an integer numerator over a fixed denominator;
+    curved ones yield tuples of floats.
     An int seed starts a fresh stream; a ``random.Random`` is drawn from
     and advanced, so consecutive calls on one generator return the
     samples one call of their total count would.
@@ -213,7 +267,7 @@ def _shell_floor(total: Scale, n: int) -> Scale:
     return max(total - 1, total * (n - 1) / n)
 
 
-def _sample_exact(body: BodySpec, rng: random.Random, count: int) -> Iterator[tuple]:
+def _sample_exact(body: BodySpec, rng: random.Random, count: int) -> Iterator[RationalPoint]:
     # bound = b/q, lo = l/q: lo + (bound - lo)*r/d is (l*d + (b - l)*r)/(q*d).
     n, d, signed = body.n, _SAMPLE_DENOMINATOR, not body.nonnegative
     bound, lo = body.bound, _shell_floor(body.bound, n)
@@ -227,9 +281,8 @@ def _sample_exact(body: BodySpec, rng: random.Random, count: int) -> Iterator[tu
             total = sum(weights)
             if total > 0:
                 break
-        den = q * d * total
-        yield tuple(Fraction(-num * w if signed and rng.random() >= 0.5 else num * w, den)
-                    for w in weights)
+        yield RationalPoint([-num * w if signed and rng.random() >= 0.5 else num * w
+                             for w in weights], q * d * total)
 
 
 def _sample_float(body: BodySpec, rng: random.Random, count: int) -> Iterator[tuple]:

@@ -217,6 +217,17 @@ def _cmd_rz_bound(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with its help written as any output is.
+
+    argparse drops an error in writing its help, so help to an unbuffered
+    full device exited 0 with nothing written; here the error reaches main.
+    """
+
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout or sys.stderr).write(self.format_help())
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use; callers share it."""
@@ -226,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n": dict(type=int, required=True),
         "--k": dict(type=int, required=True),
     }
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hadcover",
         description="Lattice coverings and covering-functional bounds for "
         "simplices, cross-polytopes, and l_p balls.",
@@ -274,15 +285,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if sys.stdout is None:  # started with stdout closed (`>&-`)
-        print("error: cannot write the output: stdout is closed", file=sys.stderr)
-        return 2
     # Exact counts print in full, past the interpreter's int-to-text digit
     # limit; the caller's limit is back in place when main returns.
     digits = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:  # --help, or a usage error on stderr
+            if sys.stdout is not None:
+                sys.stdout.flush()  # so help to a full device raises here
+            raise
+        if sys.stdout is None:  # started with stdout closed (`>&-`)
+            print("error: cannot write the output: stdout is closed", file=sys.stderr)
+            return 2
+        sys.set_int_max_str_digits(0)
         code = args.handler(args)
         sys.stdout.flush()  # so a closed pipe raises here, not at interpreter exit
     except (ValueError, OverflowError) as exc:

@@ -18,10 +18,11 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
+from operator import mul, sub
 from typing import NamedTuple, Sequence, Union
 
 from . import asymptotics, bodies, combinatorics, lattice_sets
-from .bodies import BodySpec, CROSSPOLYTOPE, LP, SIMPLEX
+from .bodies import BodySpec, CROSSPOLYTOPE, LP, RationalPoint, SIMPLEX
 from .lattice_sets import LatticeSetSpec
 
 # Most checks one verification may start: samples·n sampled coordinates,
@@ -29,17 +30,19 @@ from .lattice_sets import LatticeSetSpec
 # + k + 1 for a curved one, plus (k + 1)·(min(n, k) + 10) for the level
 # count of the sweep.  Its slowest admitted sweep, n = 1 at k = 9,090,901
 # with one sample, takes about 5 s on one core; n = k = 9,959 takes
-# 0.25 s; samples·n = 1,428,571 exact coordinates take about 6 s; and
-# 5,000,000 curved coordinates at k = 0 would take about 6 s at the rate
-# below.
+# 0.25 s; samples·n = 1,400,000 exact coordinates (--body crosspolytope
+# --n 100000 --k 1 --samples 14) take about 1.8 s; and 5,000,000 curved
+# coordinates at k = 0 would take about 6 s at the rate below.
 MAX_CHECKS = 10**8
 # Sweep checks per exact sampled coordinate, measured on Python 3.11 (one
-# core of a 2-CPU host): a coordinate costs about 4.2 us (verify-cover
-# --body crosspolytope --n 100000 --k 1, --samples 8 less --samples 4,
-# over 400,000 coordinates), a sweep check about 0.062 us (--body
-# simplex --n 1 --k 1000000 --samples 1, 11,000,012 checks, less the
-# start-up of a k = 1 run).  So --samples 999 at n = 100000, minutes
-# of sampling, is refused.
+# core of a 2-CPU host): a coordinate costs about 0.6-0.9 us, most of it
+# the sampler's random draws (verify-cover --body crosspolytope or
+# simplex --n 100000 --k 1, --samples 8 less --samples 4, over 400,000
+# coordinates), a sweep check about 0.056-0.065 us (--body simplex --n 1
+# --k 1000000 --samples 1, 11,000,012 checks, less the start-up of a
+# k = 1 run).  That is 10-15 checks; 70 was set when a coordinate took
+# 4.2 us in Fractions and is kept, now conservative, so every refusal
+# stays where it was: --samples 999 at n = 100000 is still refused.
 SAMPLE_WEIGHT = 70
 # Sweep checks to draw and re-check a curved sampled coordinate, on the
 # scale of SAMPLE_WEIGHT; its peel adds k + 1.  A coordinate costs about
@@ -129,32 +132,38 @@ def _decompose(n: int, k: int, y: Sequence, nonnegative: bool) -> WitnessDecompo
     (and the simplex needs y >= 0).  Floors of |y_i| sum to at least m,
     so a greedy scan with |z_i| = min(floor |y_i|, remaining budget) and
     the sign of y_i leaves the residual in the normalized body.  It runs
-    on the integers |y_i| * D from bodies._exact_magnitudes, D the lcm
-    denominator, and writes only where z_i != 0.
+    on the integers N_i over one D from bodies._exact_form and writes
+    only where z_i != 0.  The residual y - z is the RationalPoint
+    (N - z * D) / D for a RationalPoint y, and keeps the int or Fraction
+    type of each coordinate of any other y.
     """
     if n < 1:
         raise ValueError("dimension n must be >= 1")
-    lcm_form = bodies._exact_magnitudes(n, nonnegative, y)
-    if lcm_form is not None:
-        den, mags = lcm_form
-        needed = max(0, -(-sum(mags) // den) - n)
-    if lcm_form is None or needed > k:
+    point = bodies._exact_form(n, nonnegative, y)
+    if point is not None:
+        nums, den = point.nums, point.den
+        needed = max(0, -(-sum(map(abs, nums)) // den) - n)
+    if point is None or needed > k:
         raise ValueError(f"point lies outside the scaled "
                          f"{SIMPLEX if nonnegative else CROSSPOLYTOPE}")
-    z, residual, remaining = [0] * n, list(y), needed
-    for i, m in enumerate(mags):
+    z, rest, remaining = [0] * n, list(nums), needed
+    for i, a in enumerate(nums):
         if not remaining:
             break
-        take = min(m // den, remaining)
+        take = min(abs(a) // den, remaining)
         if take:
-            z[i] = take if y[i].numerator >= 0 else -take
-            residual[i] -= z[i]
+            z[i] = take if a >= 0 else -take
+            rest[i] -= z[i] * den
             remaining -= take
     if remaining:
         # The shell argument guarantees enough integer mass; reaching
         # here means the decomposition itself is broken.
         raise AssertionError("floor sum below required budget")
-    return WitnessDecomposition(tuple(z), tuple(residual), needed)
+    if isinstance(y, RationalPoint):
+        residual = RationalPoint(rest, den)
+    else:  # y's own ints and Fractions, as a Fraction greedy leaves them
+        residual = tuple(c - w if w else c for c, w in zip(y, z))
+    return WitnessDecomposition(tuple(z), residual, needed)
 
 
 def _translation_set(body: BodySpec, k: int) -> LatticeSetSpec:
@@ -199,7 +208,10 @@ def _verify(base: BodySpec, k: int, samples: int, seed: int) -> CoveringReport:
 
     Samples come from the inflated base body.  Every witness of a sample
     y is re-checked from scratch: z in the translation set and y - z in
-    the base body (within bodies.TOL for curved bodies).  Polytopal
+    the base body (within bodies.TOL for curved bodies).  y - z is formed
+    from the sample and z, never from the witness's residual; an exact
+    sample is a RationalPoint N / D, so its y - z is (N - z * D) / D and
+    the whole loop runs on integers.  Polytopal
     bodies then get the translate sweep, _sweep, which counts the
     translate vertices outside the inflated body level by level instead
     of enumerating them.  Module functions are looked up at call time,
@@ -217,7 +229,7 @@ def _verify(base: BodySpec, k: int, samples: int, seed: int) -> CoveringReport:
     n, polytopal = base.n, base.is_polytopal
     # A sweep level is a few Python steps and one big-integer step whose
     # size grows with min(n, k).  An exact sampled coordinate is drawn,
-    # decomposed and re-checked in Fractions.  A curved sample is drawn and
+    # decomposed and re-checked in integers.  A curved sample is drawn and
     # re-checked in floats, and peeled by up to k moves and k + 1
     # membership tests, each O(n).
     levels, width = (k + 1, min(n, k) + 10) if polytopal else (0, 0)
@@ -242,7 +254,7 @@ def _verify(base: BodySpec, k: int, samples: int, seed: int) -> CoveringReport:
     for start in range(0, samples, block):
         for y in bodies.sample_boundary(scaled, min(block, samples - start), rng):
             witness = decompose(n, k, y)
-            residual = [c - w if w else c for c, w in zip(y, witness.z)]
+            residual = _difference(y, witness.z)
             if not (lattice_sets.member(spec, witness.z) and inside(base, residual)):
                 witness_failures += 1
             shells[witness.shell_level] += 1
@@ -253,6 +265,13 @@ def _verify(base: BodySpec, k: int, samples: int, seed: int) -> CoveringReport:
     ok = witness_failures == 0 and translate_failures == 0
     return CoveringReport(f"{spec.kind}-{base.family}", n, k, base.p, samples, seed,
                           witness_failures, translate_failures, translates, shells, ok)
+
+
+def _difference(y: Sequence, z: Sequence[int]) -> Sequence:
+    """y - z, on the integers as (N - z * D) / D for an exact sample N / D."""
+    if isinstance(y, RationalPoint):
+        return RationalPoint(map(sub, y.nums, map(mul, z, repeat(y.den))), y.den)
+    return [c - w if w else c for c, w in zip(y, z)]
 
 
 def _sweep(base: BodySpec, scaled: BodySpec, k: int) -> tuple[int, int]:

@@ -588,3 +588,20 @@ def test_unwritable_stdout_exits_2_with_one_line():
         assert result.returncode == 2, result.stderr
         assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
         assert "Traceback" not in result.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_help_to_a_full_device_exits_2_with_one_line():
+    # argparse drops an error in writing its help: an unbuffered stdout
+    # exited 0 with nothing written, a buffered one 120 with "Exception
+    # ignored" at the final flush.  Both are a stdout that cannot be written.
+    for argv in (["--help"], ["count", "--help"]):
+        for unbuffered in ("", "1"):
+            with open("/dev/full", "w") as full:
+                result = subprocess.run(
+                    [sys.executable, "-m", "hadcover", *argv], stdout=full,
+                    stderr=subprocess.PIPE, text=True,
+                    env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+            lines = result.stderr.splitlines()
+            assert result.returncode == 2, (argv, unbuffered, result)
+            assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
